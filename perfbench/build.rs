@@ -1,0 +1,24 @@
+//! Records the compiler that built the benchmark and, when the sources
+//! are a git checkout, the commit, so every result names its build.
+
+use std::process::Command;
+
+fn output_of(program: &str, args: &[&str]) -> Option<String> {
+    let out = Command::new(program).args(args).output().ok()?;
+    if !out.status.success() {
+        return None;
+    }
+    let text = String::from_utf8(out.stdout).ok()?;
+    let text = text.trim();
+    (!text.is_empty()).then(|| text.to_string())
+}
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = output_of(&rustc, &["--version"]).unwrap_or_else(|| "unknown".to_string());
+    let commit = output_of("git", &["rev-parse", "--short=12", "HEAD"])
+        .unwrap_or_else(|| "unknown (not a git checkout)".to_string());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    println!("cargo:rustc-env=PERFBENCH_COMMIT={commit}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
