@@ -267,7 +267,8 @@ impl Controller {
 
     pub(super) fn finish_provisioning(&mut self, vm: NestedVmId, now: SimTime) {
         self.provision_attempts.remove(&vm);
-        if !self.vms.contains_key(&vm) {
+        // Released while its network identity was attaching: stay released.
+        if self.vms.get(&vm).map(|r| r.status) != Some(VmStatus::Provisioning) {
             return;
         }
         self.set_status(Subsystem::Provision, vm, VmStatus::Running, now);
@@ -330,7 +331,22 @@ impl Controller {
             },
         );
         self.note_host_slots(instance);
-        for vm in self.host_waiters.remove(&instance).unwrap_or_default() {
+        // A waiter released (or lost) while the host booted must not be
+        // placed: placing it would resurrect it as Running.
+        let waiters: Vec<NestedVmId> = self
+            .host_waiters
+            .remove(&instance)
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|vm| self.vms.get(vm).map(|r| r.status) == Some(VmStatus::Provisioning))
+            .collect();
+        if waiters.is_empty() {
+            // Nobody left to host: give the server back, as a release of
+            // its last resident does.
+            self.terminate_host(instance, now, out);
+            return;
+        }
+        for vm in waiters {
             self.place_vm(vm, instance, market.clone(), now, out);
         }
     }

@@ -21,11 +21,16 @@
 //! state. [`crate::snapshot`] builds crash-consistent restarts on exactly
 //! this property.
 //!
-//! The replay discipline that makes interleaving reproducible: a command
-//! is only ever applied after `step_until(t)` has settled every event at
-//! or before its recorded time `t`, and commands recorded at the same
-//! instant are applied in log order. Live mode and replay both follow
-//! this rule, so event/command interleavings cannot diverge.
+//! The replay discipline that makes interleaving reproducible: the log
+//! records, for every command, whether the live run processed any event
+//! since the previous command (`settled`). Live callers are free to apply
+//! several commands at one instant without settling in between (the
+//! daemon and the batch ramp scripts do), so replay does not assume it:
+//! [`Engine::replay`] calls `step_until(t)` before a command at `t` only
+//! when `t` is past the engine's clock or the command is marked settled,
+//! and commands at the same instant are applied in log order. Whatever
+//! interleaving of events and same-instant commands the live run took,
+//! replay takes the same one.
 
 use spotcheck_cloudsim::cloud::{CloudConfig, CloudSim};
 use spotcheck_nestedvm::vm::NestedVmId;
@@ -250,7 +255,8 @@ pub enum CommandOutcome {
 
 /// One logged command: its dense sequence number, the simulation instant
 /// it was applied at, whether it was journaled (externally injected) or
-/// quiet (scripted through the synchronous facade), and the command.
+/// quiet (scripted through the synchronous facade), whether events were
+/// settled before it, and the command.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedCommand {
     /// Dense 0-based sequence number (log position).
@@ -259,6 +265,10 @@ pub struct TimedCommand {
     pub at: SimTime,
     /// True if the command was journaled (the [`Engine::apply`] path).
     pub journaled: bool,
+    /// True if the engine processed at least one event between the
+    /// previous command (or construction) and this one. Replay settles
+    /// the command's instant first only when this is set.
+    pub settled: bool,
     /// The command.
     pub cmd: Command,
 }
@@ -271,6 +281,8 @@ pub struct Engine {
     backend: QueueBackend,
     scenario_digest: u64,
     commands: Vec<TimedCommand>,
+    /// `steps()` when the last command was applied.
+    steps_at_last_command: u64,
 }
 
 impl Engine {
@@ -314,6 +326,7 @@ impl Engine {
             backend,
             scenario_digest,
             commands: Vec::new(),
+            steps_at_last_command: 0,
         }
     }
 
@@ -424,10 +437,13 @@ impl Engine {
     ) -> Result<CommandOutcome, ControllerError> {
         let now = self.sim.now();
         let seq = self.commands.len() as u64;
+        let settled = self.sim.steps() != self.steps_at_last_command;
+        self.steps_at_last_command = self.sim.steps();
         self.commands.push(TimedCommand {
             seq,
             at: now,
             journaled,
+            settled,
             cmd,
         });
         if journaled {
@@ -441,6 +457,7 @@ impl Engine {
                     a,
                     b,
                     c,
+                    settled,
                 },
             );
         }
@@ -476,9 +493,10 @@ impl Engine {
         }
     }
 
-    /// Replays a logged command: advances to its recorded instant, then
-    /// applies it through the same (journaled or quiet) path it originally
-    /// took.
+    /// Replays a logged command: advances to its recorded instant (only
+    /// settling an instant the engine already stands at when the live run
+    /// did, see [`TimedCommand::settled`]), then applies it through the
+    /// same (journaled or quiet) path it originally took.
     ///
     /// # Errors
     ///
@@ -500,7 +518,9 @@ impl Engine {
                 self.sim.now()
             ));
         }
-        self.step_until(cmd.at);
+        if cmd.at > self.sim.now() || cmd.settled {
+            self.step_until(cmd.at);
+        }
         // The original outcome (including a rejection) is determined by
         // the deterministic state, so it is intentionally not stored or
         // compared — the state signature at the end of replay is the
@@ -656,6 +676,24 @@ mod tests {
         let drained = engine.drain_ready();
         assert!(drained >= 1, "provision event should be due at now");
         assert_eq!(engine.now(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn settled_records_whether_events_ran_since_the_previous_command() {
+        let scenario = quick_scenario();
+        let mut engine = scenario.build();
+        engine.apply_quiet(Command::CreateCustomer).unwrap();
+        let provision = Command::Provision {
+            customer: CustomerId(0),
+            workload: WorkloadKind::TpcW,
+            stateless: false,
+        };
+        engine.apply_quiet(provision).unwrap();
+        engine.drain_ready();
+        engine.apply_quiet(provision).unwrap();
+        engine.apply_quiet(Command::CreateCustomer).unwrap();
+        let settled: Vec<bool> = engine.command_log().iter().map(|c| c.settled).collect();
+        assert_eq!(settled, [false, false, true, false]);
     }
 
     #[test]

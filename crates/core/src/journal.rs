@@ -328,6 +328,9 @@ pub enum Record {
         b: u64,
         /// Third encoded argument.
         c: u64,
+        /// Whether events were processed since the previous command (see
+        /// `crate::engine::TimedCommand::settled`).
+        settled: bool,
     },
 }
 
@@ -457,10 +460,17 @@ impl Record {
                     mig.0, vm.0
                 );
             }
-            Record::Command { seq, cmd, a, b, c } => {
+            Record::Command {
+                seq,
+                cmd,
+                a,
+                b,
+                c,
+                settled,
+            } => {
                 let _ = write!(
                     s,
-                    r#", "seq": {seq}, "cmd": "{cmd}", "a": {a}, "b": {b}, "c": {c}"#
+                    r#", "seq": {seq}, "cmd": "{cmd}", "a": {a}, "b": {b}, "c": {c}, "settled": {settled}"#
                 );
             }
         }

@@ -15,26 +15,30 @@
 //!
 //! Restore rebuilds a fresh engine from the same scenario, replays the
 //! command log under the [replay discipline](crate::engine), advances to
-//! the snapshot instant, and then *verifies* the step count and state
-//! signature. A mismatch — different scenario inputs, a corrupted log, a
-//! code change that altered the trajectory — is a hard error, never a
-//! silently wrong resume. Restore cost is O(history) simulated events
+//! the snapshot instant (settling it only if the live engine had), and
+//! then *verifies* the step count and state signature. A mismatch —
+//! different scenario inputs, a corrupted log, a code change that
+//! altered the trajectory — is a hard error, never a silently wrong
+//! resume. Restore cost is O(history) simulated events
 //! rather than O(state) bytes; for the multi-day scenarios SpotCheck
 //! targets that is seconds of wall clock, and the journal spill sink
 //! keeps the tail of commands past the snapshot equally replayable.
 //!
-//! # Text format (version 1)
+//! # Text format (version 2)
 //!
 //! ```text
-//! spotcheck-snapshot v1
+//! spotcheck-snapshot v2
 //! scenario <16-hex digest>
 //! taken_at <micros>
 //! steps <count>
 //! commands <count>
-//! cmd <seq> <micros> <kind> <a> <b> <c> <journaled:0|1>
+//! cmd <seq> <micros> <kind> <a> <b> <c> <journaled:0|1> <settled:0|1>
 //! ...
 //! signature <16-hex digest>
 //! ```
+//!
+//! Version 1 lacks the `settled` column; its commands parse as settled,
+//! which is how version-1 replay treated every command.
 //!
 //! Line-oriented, integer-only (times in exact microseconds, digests in
 //! hex), self-describing counts — parseable without any serialization
@@ -49,8 +53,9 @@ use spotcheck_simcore::time::SimTime;
 
 use crate::engine::{Command, Engine, Scenario, TimedCommand};
 
-/// The snapshot format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// The snapshot format version this build writes. It also reads and
+/// restores version 1.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A parsed (or freshly taken) engine snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,7 +151,8 @@ impl fmt::Display for RestoreError {
 impl std::error::Error for RestoreError {}
 
 impl Snapshot {
-    /// Renders the snapshot in the version-1 text format.
+    /// Renders the snapshot in the text format of its `version` (1 drops
+    /// the `settled` column).
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::with_capacity(128 + self.commands.len() * 48);
@@ -157,7 +163,7 @@ impl Snapshot {
         let _ = writeln!(s, "commands {}", self.commands.len());
         for c in &self.commands {
             let (a, b, v) = c.cmd.encode_args();
-            let _ = writeln!(
+            let _ = write!(
                 s,
                 "cmd {} {} {} {a} {b} {v} {}",
                 c.seq,
@@ -165,12 +171,16 @@ impl Snapshot {
                 c.cmd.kind(),
                 u64::from(c.journaled)
             );
+            if self.version >= 2 {
+                let _ = write!(s, " {}", u64::from(c.settled));
+            }
+            s.push('\n');
         }
         let _ = writeln!(s, "signature {:016x}", self.signature);
         s
     }
 
-    /// Parses the version-1 text format.
+    /// Parses the version-1 or version-2 text format.
     ///
     /// # Errors
     ///
@@ -201,6 +211,10 @@ impl Snapshot {
             .strip_prefix("spotcheck-snapshot v")
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| err(n, "bad header (want `spotcheck-snapshot v<N>`)"))?;
+        if !(1..=SNAPSHOT_VERSION).contains(&version) {
+            return Err(err(n, format!("unsupported version {version}")));
+        }
+        let want_fields = if version == 1 { 7 } else { 8 };
 
         let (n, v) = field(&mut lines, "scenario")?;
         let scenario_digest =
@@ -215,13 +229,15 @@ impl Snapshot {
         let (n, v) = field(&mut lines, "commands")?;
         let count: usize = v.parse().map_err(|_| err(n, "bad command count"))?;
 
-        let mut commands = Vec::with_capacity(count);
+        // Each command line is at least 16 bytes, so the text bounds the
+        // preallocation whatever the count claims.
+        let mut commands = Vec::with_capacity(count.min(text.len() / 16));
         for i in 0..count {
             let (n, v) = field(&mut lines, "cmd")
                 .map_err(|e| err(e.line, format!("command {i}: {}", e.reason)))?;
             let parts: Vec<&str> = v.split(' ').collect();
-            if parts.len() != 7 {
-                return Err(err(n, format!("command {i}: want 7 fields")));
+            if parts.len() != want_fields {
+                return Err(err(n, format!("command {i}: want {want_fields} fields")));
             }
             let seq: u64 = parts[0].parse().map_err(|_| err(n, "bad seq"))?;
             if seq != i as u64 {
@@ -234,17 +250,22 @@ impl Snapshot {
             let a: u64 = parts[3].parse().map_err(|_| err(n, "bad arg a"))?;
             let b: u64 = parts[4].parse().map_err(|_| err(n, "bad arg b"))?;
             let c: u64 = parts[5].parse().map_err(|_| err(n, "bad arg c"))?;
-            let journaled = match parts[6] {
-                "0" => false,
-                "1" => true,
-                _ => return Err(err(n, "bad journaled flag")),
+            // A version-1 line has no `settled` column: it reads as set.
+            let flag = |i: usize, what: &str| match parts.get(i) {
+                None => Ok(true),
+                Some(&"0") => Ok(false),
+                Some(&"1") => Ok(true),
+                Some(_) => Err(err(n, format!("bad {what} flag"))),
             };
+            let journaled = flag(6, "journaled")?;
+            let settled = flag(7, "settled")?;
             let cmd = Command::decode(parts[2], a, b, c)
                 .ok_or_else(|| err(n, format!("unknown command kind `{}`", parts[2])))?;
             commands.push(TimedCommand {
                 seq,
                 at,
                 journaled,
+                settled,
                 cmd,
             });
         }
@@ -331,7 +352,7 @@ impl Engine {
         snap: &Snapshot,
         backend: QueueBackend,
     ) -> Result<Engine, RestoreError> {
-        if snap.version != SNAPSHOT_VERSION {
+        if !(1..=SNAPSHOT_VERSION).contains(&snap.version) {
             return Err(RestoreError::UnsupportedVersion(snap.version));
         }
         let actual = scenario.digest();
@@ -345,7 +366,11 @@ impl Engine {
         for cmd in &snap.commands {
             engine.replay(cmd).map_err(RestoreError::Replay)?;
         }
-        engine.step_until(snap.taken_at);
+        // Settle the snapshot instant only if the live engine had: the
+        // same rule as a settled command at an instant already reached.
+        if snap.taken_at > engine.now() || engine.steps() < snap.steps {
+            engine.step_until(snap.taken_at);
+        }
         if engine.steps() != snap.steps {
             return Err(RestoreError::StepMismatch {
                 expected: snap.steps,
@@ -433,6 +458,25 @@ mod tests {
             restored.journal().to_json(),
             original.journal().to_json()
         );
+    }
+
+    #[test]
+    fn version_1_text_reads_every_command_as_settled_and_restores() {
+        let scenario = quick_scenario();
+        let mut snap = driven_engine(&scenario).snapshot();
+        assert_eq!(snap.version, 2);
+        // Two commands at t=0 with no event in between: not settled.
+        assert!(!snap.commands[1].settled);
+        snap.version = 1;
+        let text = snap.to_text();
+        assert!(text.starts_with("spotcheck-snapshot v1\n"));
+        assert!(text.contains("\ncmd 1 0 provision 0 0 0 1\n"), "{text}");
+        let parsed = Snapshot::parse(&text).expect("parse v1");
+        assert!(parsed.commands.iter().all(|c| c.settled));
+        // v1 replay settled before every command; this history converges
+        // under that rule too.
+        Engine::restore(&scenario, &parsed).expect("restore v1");
+        assert!(Snapshot::parse(&text.replace("v1\n", "v3\n")).is_err());
     }
 
     #[test]

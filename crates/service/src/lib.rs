@@ -39,9 +39,11 @@
 pub mod json;
 
 use std::collections::BTreeMap;
-use std::io::{BufRead as _, Read as _, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, SyncSender};
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 use spotcheck_bench::report::{json_f64, json_str};
@@ -407,92 +409,175 @@ impl Daemon {
     /// `listener`, takes periodic snapshots, and on exit flushes the sink
     /// and writes a final snapshot.
     ///
+    /// Each connection gets one blocking reader thread (at most
+    /// `MAX_CONNS`; one more is answered with an error line and closed).
+    /// A reader hands each complete line to this thread over one bounded
+    /// channel and writes the reply itself, so requests on a connection
+    /// are answered in order. This thread blocks until a request arrives
+    /// or the next `TICK`; every wake paces the engine, and every tick
+    /// also takes a due snapshot and accepts new connections. A failed
+    /// periodic snapshot is logged and retried on the next tick. Every
+    /// thread started here has exited when `run` returns.
+    ///
     /// # Errors
     ///
-    /// Propagates listener and snapshot filesystem failures.
+    /// Propagates listener failures and a failed final flush or snapshot.
     pub fn run(&mut self, listener: TcpListener) -> std::io::Result<()> {
         listener.set_nonblocking(true)?;
         let start = Instant::now();
         let sim0 = self.engine.now();
-        let mut conns: Vec<Conn> = Vec::new();
-        while !self.shutdown && !signal::requested() {
-            // Pace: advance simulated time to match the wall clock.
-            let target = sim0
-                .saturating_add(SimDuration::from_secs_f64(
-                    start.elapsed().as_secs_f64() * self.config.accel,
-                ))
-                .min(self.config.horizon);
-            if target > self.engine.now() {
-                self.engine.step_until(target);
-            }
-            if self.engine.now() >= self.next_snapshot_at {
-                self.write_snapshot()?;
-                self.next_snapshot_at = self.engine.now().saturating_add(self.config.snapshot_every);
-            }
-            while let Ok((stream, _)) = listener.accept() {
-                stream.set_nonblocking(true).ok();
-                conns.push(Conn {
-                    stream,
-                    buf: Vec::new(),
-                });
-            }
-            let mut i = 0;
-            while i < conns.len() {
-                match self.serve_conn(&mut conns[i]) {
-                    ConnState::Open => i += 1,
-                    ConnState::Closed => {
-                        conns.swap_remove(i);
+        let (tx, rx) = mpsc::sync_channel::<Request>(MAX_CONNS);
+        std::thread::scope(|s| {
+            let mut conns: Vec<(TcpStream, ScopedJoinHandle<'_, ()>)> = Vec::new();
+            let mut next_tick = Instant::now();
+            let mut snapshot_failing = false;
+            while !self.shutdown && !signal::requested() {
+                let request = rx
+                    .recv_timeout(next_tick.saturating_duration_since(Instant::now()))
+                    .ok();
+                // Pace: advance simulated time to match the wall clock.
+                let target = sim0
+                    .saturating_add(SimDuration::from_secs_f64(
+                        start.elapsed().as_secs_f64() * self.config.accel,
+                    ))
+                    .min(self.config.horizon);
+                if target > self.engine.now() {
+                    self.engine.step_until(target);
+                }
+                if let Some(req) = request {
+                    let response = self.handle_line(&req.line);
+                    req.answer(&response);
+                }
+                if Instant::now() < next_tick {
+                    continue;
+                }
+                next_tick = Instant::now() + TICK;
+                if self.engine.now() >= self.next_snapshot_at {
+                    match self.write_snapshot() {
+                        Ok(_) => {
+                            self.next_snapshot_at =
+                                self.engine.now().saturating_add(self.config.snapshot_every);
+                            snapshot_failing = false;
+                        }
+                        Err(e) => {
+                            if !snapshot_failing {
+                                eprintln!("spotcheckd: periodic snapshot failed, retrying: {e}");
+                            }
+                            snapshot_failing = true;
+                        }
                     }
                 }
-                if self.shutdown {
-                    break;
+                conns.retain(|(_, reader)| !reader.is_finished());
+                while let Ok((stream, _)) = listener.accept() {
+                    if conns.len() >= MAX_CONNS {
+                        let refusal = format!("{}\n", err_response("too many connections"));
+                        let _ = (&stream).write_all(refusal.as_bytes());
+                        continue;
+                    }
+                    if let Ok(handle) = stream.try_clone() {
+                        let tx = tx.clone();
+                        conns.push((handle, s.spawn(move || serve_conn(stream, tx))));
+                    }
                 }
             }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+            // Unblock every reader; answer whatever they still send until
+            // the last one has exited and dropped its sender.
+            drop(tx);
+            for (stream, _) in &conns {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+            for req in rx.iter() {
+                req.answer(&err_response("shutting down"));
+            }
+        });
         self.engine.journal_mut().flush_sink()?;
         self.write_snapshot()?;
         Ok(())
     }
+}
 
-    fn serve_conn(&mut self, conn: &mut Conn) -> ConnState {
-        let mut chunk = [0u8; 4096];
-        loop {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => return ConnState::Closed,
-                Ok(n) => conn.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => return ConnState::Closed,
-            }
-        }
-        while let Some(pos) = conn.buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = conn.buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut response = self.handle_line(&line);
-            response.push('\n');
-            if conn.stream.write_all(response.as_bytes()).is_err() {
-                return ConnState::Closed;
-            }
-            conn.stream.flush().ok();
-            if self.shutdown {
-                break;
-            }
-        }
-        ConnState::Open
+/// Most connections served at once.
+const MAX_CONNS: usize = 64;
+
+/// Longest request line in bytes, newline excluded.
+const MAX_LINE: usize = 64 * 1024;
+
+/// Pacing tick: the longest the engine thread waits between advancing
+/// simulated time, snapshot checks and accepts.
+const TICK: Duration = Duration::from_millis(2);
+
+/// A reply write stalled this long (a client that stopped reading) drops
+/// the connection rather than hold up shutdown.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// One complete request line and where its reply goes.
+struct Request {
+    line: String,
+    reply: SyncSender<String>,
+}
+
+impl Request {
+    /// Sends `response` and a newline back in the request's own buffer,
+    /// so a connection's buffer is allocated and freed by its reader:
+    /// handing freshly allocated replies across threads measured about
+    /// 0.5 MiB more peak RSS (per-thread allocator caches).
+    fn answer(self, response: &str) {
+        let mut buf = self.line;
+        buf.clear();
+        buf.push_str(response);
+        buf.push('\n');
+        let _ = self.reply.send(buf);
     }
 }
 
-struct Conn {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-enum ConnState {
-    Open,
-    Closed,
+/// A connection's reader thread: forwards each line to the engine thread,
+/// waits for the reply and writes it, reusing one buffer throughout. A
+/// line longer than `MAX_LINE` gets one error reply and closes the
+/// connection.
+fn serve_conn(stream: TcpStream, requests: SyncSender<Request>) {
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    let (reply, replies) = mpsc::sync_channel(1);
+    let mut reader = BufReader::new(&stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let mut line_cap = (&mut reader).take(MAX_LINE as u64 + 1);
+        if !matches!(line_cap.read_until(b'\n', &mut buf), Ok(n) if n > 0) {
+            break;
+        }
+        let complete = buf.last() == Some(&b'\n');
+        if !complete && buf.len() <= MAX_LINE {
+            break; // EOF inside a line
+        }
+        let response = if complete {
+            if buf.iter().all(u8::is_ascii_whitespace) {
+                continue;
+            }
+            let line = String::from_utf8(buf)
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+            let request = Request {
+                line,
+                reply: reply.clone(),
+            };
+            if requests.send(request).is_err() {
+                break;
+            }
+            match replies.recv() {
+                Ok(response) => response.into_bytes(),
+                Err(_) => break,
+            }
+        } else {
+            let refusal = err_response(&format!("request line exceeds {MAX_LINE} bytes"));
+            format!("{refusal}\n").into_bytes()
+        };
+        if (&stream).write_all(&response).is_err() || !complete {
+            break;
+        }
+        buf = response;
+    }
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 fn err_response(msg: &str) -> String {
@@ -578,10 +663,19 @@ pub fn read_command_tail(path: &Path, from_seq: u64) -> std::io::Result<Vec<Time
             .ok_or_else(|| invalid_data(format!("sink line {}: bad `cmd`", i + 1)))?;
         let cmd = Command::decode(kind, get("a")?, get("b")?, get("c")?)
             .ok_or_else(|| invalid_data(format!("sink line {}: unknown command `{kind}`", i + 1)))?;
+        // Sinks written before the flag existed replayed every command
+        // settled.
+        let settled = match m.get("settled") {
+            None => true,
+            Some(v) => v
+                .as_bool()
+                .ok_or_else(|| invalid_data(format!("sink line {}: bad `settled`", i + 1)))?,
+        };
         tail.push(TimedCommand {
             seq,
             at: SimTime::from_micros((t * 1e6).round() as u64),
             journaled: true,
+            settled,
             cmd,
         });
     }
