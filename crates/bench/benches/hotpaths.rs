@@ -14,11 +14,12 @@
 //! - `PriceTrace::mean_capped_price` / `revocations_at_bid`
 //! - `DirtyModel::sample_dirty` (one checkpoint epoch of page writes)
 //! - one quick-scale `run_policy` cell (Figure 10/11/12 inner loop)
-//! - `EventQueue` steady-state churn, heap vs timing-wheel backend, under
-//!   three deadline distributions: uniform near-future, bursty same-instant
-//!   batches, and far-future pushes that land in the wheel's overflow level
+//! - `EventQueue` steady-state churn under three deadline distributions:
+//!   uniform near-future, bursty same-instant batches, and far-future
+//!   pushes days out
 //! - the sharded engine's cross-shard channel: epoch barrier + Lamport
-//!   flush cost at rising message volume (idle barriers vs flooded ones)
+//!   flush cost at rising message volume (idle barriers vs flooded ones),
+//!   inline and through the persistent worker pool
 //! - trace-archive ingest on a million-point trace: the historical
 //!   line-at-a-time CSV parser vs the byte scanner vs the columnar `.stl`
 //!   decoder, plus `TraceCursor` vs per-lookup binary search on the
@@ -31,11 +32,9 @@ use spotcheck_core::policy::MappingPolicy;
 use spotcheck_core::sim::{run_policy, standard_traces, PolicyExperiment};
 use spotcheck_migrate::mechanisms::MechanismKind;
 use spotcheck_nestedvm::memory::{DirtyModel, MemoryImage, PAGE_SIZE};
-use spotcheck_simcore::queue::{EventQueue, QueueBackend};
+use spotcheck_simcore::queue::EventQueue;
 use spotcheck_simcore::rng::SimRng;
-use spotcheck_simcore::shard::{
-    set_pool_enabled, set_shard_workers, ShardCtx, ShardId, ShardWorld, ShardedSim,
-};
+use spotcheck_simcore::shard::{set_shard_workers, ShardCtx, ShardId, ShardWorld, ShardedSim};
 use spotcheck_simcore::time::{SimDuration, SimTime};
 use spotcheck_bench::experiments::trace_library::reference_from_csv;
 use spotcheck_simcore::series::StepSeries;
@@ -110,17 +109,11 @@ fn fmt_ns(ns: f64) -> String {
 
 /// Steady-state event-queue churn: keep ~1024 events pending; each step
 /// pops the earliest event and pushes a replacement `dt` past the popped
-/// deadline, with `dt` drawn by `next_dt` (same seed for both backends, so
-/// the workloads are identical). Returns a checksum so the work cannot be
-/// optimized away.
-fn queue_churn(
-    backend: QueueBackend,
-    pending: usize,
-    steps: usize,
-    mut next_dt: impl FnMut(&mut SimRng) -> u64,
-) -> u64 {
+/// deadline, with `dt` drawn by `next_dt` from a fixed seed. Returns a
+/// checksum so the work cannot be optimized away.
+fn queue_churn(pending: usize, steps: usize, mut next_dt: impl FnMut(&mut SimRng) -> u64) -> u64 {
     let mut rng = SimRng::seed(0x0E11_BEEF);
-    let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
+    let mut q: EventQueue<u64> = EventQueue::new();
     let mut now = 0u64;
     for i in 0..pending {
         let dt = next_dt(&mut rng);
@@ -150,8 +143,8 @@ fn dt_bursty(rng: &mut SimRng) -> u64 {
     rng.gen_range(1, 64) * 1_000
 }
 
-/// Far-future deadlines beyond the wheel's 2^36 us (~19 h) span, forcing
-/// the sorted-overflow level (price changes days out, horizon guards).
+/// Far-future deadlines, ~19 h to ~6 days out (price changes days ahead,
+/// horizon guards).
 fn dt_far_future(rng: &mut SimRng) -> u64 {
     (1 << 36) + rng.gen_range(0, 86_400_000_000 * 6)
 }
@@ -187,23 +180,14 @@ impl ShardWorld for Flooder {
 }
 
 /// Runs `epochs` barrier rounds over `shards` shards, `per_tick` messages
-/// per shard per epoch, on one worker (so the numbers isolate the channel
-/// itself: outbox drain, Lamport sort, routed inbound merge — not thread
-/// spawn). Returns a checksum.
-fn shard_flush(shards: u16, per_tick: usize, epochs: u64) -> u64 {
-    shard_flush_cfg(shards, per_tick, epochs, 1, true)
-}
-
-/// [`shard_flush`] with explicit worker count and pool selection: the
-/// `pool_window_*` rows run `workers = 4` through the persistent pool,
-/// the `spawn_window_*` rows force the legacy scoped-spawn-per-window
-/// path, so the two directly price one epoch barrier under each regime.
-/// Every shard ticks every epoch, so idle-epoch fast-forward never fires
-/// and the numbers isolate the barrier itself.
-fn shard_flush_cfg(shards: u16, per_tick: usize, epochs: u64, workers: usize, pool: bool) -> u64 {
+/// per shard per epoch, on `workers` threads. At one worker the numbers
+/// isolate the channel itself (outbox drain, Lamport sort, routed inbound
+/// merge); above one they add the persistent pool's per-epoch barrier.
+/// Every shard ticks every epoch, so idle-epoch fast-forward never fires.
+/// Returns a checksum.
+fn shard_flush(shards: u16, per_tick: usize, epochs: u64, workers: usize) -> u64 {
     let lookahead = SimDuration::from_secs(60);
     set_shard_workers(workers);
-    set_pool_enabled(pool);
     let worlds: Vec<Flooder> = (0..shards)
         .map(|_| Flooder {
             shards,
@@ -219,7 +203,6 @@ fn shard_flush_cfg(shards: u16, per_tick: usize, epochs: u64, workers: usize, po
     }
     sim.run_until(SimTime::ZERO + lookahead * epochs);
     set_shard_workers(0);
-    set_pool_enabled(true);
     sim.worlds().map(|w| w.received).sum()
 }
 
@@ -306,25 +289,19 @@ fn main() {
         }));
     }
     const QUEUE_STEPS: usize = 65_536;
-    // (name, backend, pending depth, deadline distribution). The `storm`
-    // rows model a fleet-wide revocation: 64k events pending at once, all
+    // (name, pending depth, deadline distribution). The `storm` row
+    // models a fleet-wide revocation: 64k events pending at once, all
     // clustered on millisecond instants.
-    type QueueBench = (&'static str, QueueBackend, usize, fn(&mut SimRng) -> u64);
-    let queue_benches: [QueueBench; 8] = [
-        ("queue_uniform_heap", QueueBackend::Heap, 1024, dt_uniform),
-        ("queue_uniform_wheel", QueueBackend::Wheel, 1024, dt_uniform),
-        ("queue_bursty_heap", QueueBackend::Heap, 1024, dt_bursty),
-        ("queue_bursty_wheel", QueueBackend::Wheel, 1024, dt_bursty),
-        ("queue_far_future_heap", QueueBackend::Heap, 1024, dt_far_future),
-        ("queue_far_future_wheel", QueueBackend::Wheel, 1024, dt_far_future),
-        ("queue_storm_heap", QueueBackend::Heap, 65_536, dt_bursty),
-        ("queue_storm_wheel", QueueBackend::Wheel, 65_536, dt_bursty),
+    type QueueBench = (&'static str, usize, fn(&mut SimRng) -> u64);
+    let queue_benches: [QueueBench; 4] = [
+        ("queue_uniform", 1024, dt_uniform),
+        ("queue_bursty", 1024, dt_bursty),
+        ("queue_far_future", 1024, dt_far_future),
+        ("queue_storm", 65_536, dt_bursty),
     ];
-    for (name, backend, pending, next_dt) in queue_benches {
+    for (name, pending, next_dt) in queue_benches {
         if wanted(name) {
-            reports.push(bench(name, || {
-                queue_churn(backend, pending, QUEUE_STEPS, next_dt)
-            }));
+            reports.push(bench(name, || queue_churn(pending, QUEUE_STEPS, next_dt)));
         }
     }
 
@@ -339,28 +316,21 @@ fn main() {
     ];
     for (name, per_tick) in shard_benches {
         if wanted(name) {
-            reports.push(bench(name, || shard_flush(8, per_tick, SHARD_EPOCHS)));
+            reports.push(bench(name, || shard_flush(8, per_tick, SHARD_EPOCHS, 1)));
         }
     }
 
     // Same workload at 4 workers: `pool_window_*` pays one persistent-pool
-    // barrier per epoch, `spawn_window_*` pays the legacy scope-spawn (plus
-    // per-item slot allocation and result re-collection) per epoch. The
-    // delta is the pool's per-window saving; compare against the serial
-    // `shard_flush_*` rows to see the residual coordination cost.
-    let window_benches: [(&'static str, usize, bool); 6] = [
-        ("pool_window_idle", 0, true),
-        ("pool_window_64", 64, true),
-        ("pool_window_1024", 1024, true),
-        ("spawn_window_idle", 0, false),
-        ("spawn_window_64", 64, false),
-        ("spawn_window_1024", 1024, false),
+    // barrier per epoch; compare against the serial `shard_flush_*` rows to
+    // see the coordination cost.
+    let window_benches: [(&'static str, usize); 3] = [
+        ("pool_window_idle", 0),
+        ("pool_window_64", 64),
+        ("pool_window_1024", 1024),
     ];
-    for (name, per_tick, pool) in window_benches {
+    for (name, per_tick) in window_benches {
         if wanted(name) {
-            reports.push(bench(name, || {
-                shard_flush_cfg(8, per_tick, SHARD_EPOCHS, 4, pool)
-            }));
+            reports.push(bench(name, || shard_flush(8, per_tick, SHARD_EPOCHS, 4)));
         }
     }
 

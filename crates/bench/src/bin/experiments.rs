@@ -1,7 +1,7 @@
 //! CLI that regenerates every table and figure of the paper.
 //!
 //! ```text
-//! experiments [--quick] [--list] [--json] [--out PATH] [--journal PATH] [--threads N] [--shards N] [--queue B] [--no-pool] [--no-fast-forward] [--scaling] [id ...]
+//! experiments [--quick] [--list] [--json] [--out PATH] [--journal PATH] [--threads N] [--shards N] [id ...]
 //! ```
 //!
 //! - `--quick` shrinks horizons for smoke tests.
@@ -11,17 +11,6 @@
 //!   `fleet_sharded` experiment) use per epoch window (0 or absent: follow
 //!   `--threads`). The logical shard topology is fixed by the scenario, so
 //!   like `--threads` this flag never changes any reported number.
-//! - `--queue heap|wheel` selects the event-queue backend (default: wheel).
-//!   Both backends pop in an identical order, so reported numbers never
-//!   change — the flag exists for differential testing and benchmarking.
-//! - `--no-pool` runs multi-worker epoch windows with per-window scoped
-//!   spawns instead of the persistent worker pool; `--no-fast-forward`
-//!   executes empty epoch windows one by one instead of jumping over them.
-//!   Both are performance ablations: reported numbers never change.
-//! - `--scaling` additionally runs the `fleet_scaling` sweep (a
-//!   reduced-scale `fleet_sharded` at 1/2/4/8 workers) after the selected
-//!   experiments, printing a measured scaling table (and, with `--json`,
-//!   a `fleet_scaling` block with detected host parallelism).
 //! - `--json` emits a machine-readable performance report (wall-clock,
 //!   simulation events, throughput per experiment) instead of the human
 //!   tables; with `--out PATH` the JSON goes to the file and the tables
@@ -33,7 +22,6 @@
 use std::process::ExitCode;
 
 use spotcheck_bench::{all_ids, run_many, PerfReport, Scale};
-use spotcheck_simcore::queue::QueueBackend;
 
 struct Args {
     scale: Scale,
@@ -43,10 +31,6 @@ struct Args {
     journal: Option<String>,
     threads: usize,
     shards: usize,
-    queue: Option<QueueBackend>,
-    pool: bool,
-    fast_forward: bool,
-    scaling: bool,
     ids: Vec<String>,
 }
 
@@ -59,10 +43,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         journal: None,
         threads: 0,
         shards: 0,
-        queue: None,
-        pool: true,
-        fast_forward: true,
-        scaling: false,
         ids: Vec::new(),
     };
     let mut it = argv.iter();
@@ -97,13 +77,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --shards value {n:?}: {e}"))?;
             }
-            "--queue" => {
-                let b = it.next().ok_or("--queue requires 'heap' or 'wheel'")?;
-                args.queue = Some(b.parse()?);
-            }
-            "--no-pool" => args.pool = false,
-            "--no-fast-forward" => args.fast_forward = false,
-            "--scaling" => args.scaling = true,
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag: {flag}"));
             }
@@ -135,11 +108,6 @@ fn main() -> ExitCode {
 
     spotcheck_simcore::parallel::set_max_threads(args.threads);
     spotcheck_simcore::shard::set_shard_workers(args.shards);
-    spotcheck_simcore::shard::set_pool_enabled(args.pool);
-    spotcheck_simcore::shard::set_fast_forward(args.fast_forward);
-    if let Some(backend) = args.queue {
-        spotcheck_simcore::queue::set_default_backend(backend);
-    }
 
     if let Some(path) = &args.journal {
         let json = spotcheck_bench::experiments::ablations::journal_json();
@@ -168,14 +136,8 @@ fn main() -> ExitCode {
     };
     let total_wall = start.elapsed();
 
-    // The sweep runs after the registry fan-out (it twiddles the shard
-    // worker knob, which must not race with concurrent experiments).
-    let scaling = args
-        .scaling
-        .then(|| spotcheck_bench::run_scaling(args.scale));
-
     // Deposited by the `trace_library` experiment when it ran (its
-    // throughput is measured inside the run, like the scaling sweep's).
+    // throughput is measured inside the run).
     let ingest = spotcheck_bench::experiments::trace_library::last_report();
 
     if args.json {
@@ -183,11 +145,7 @@ fn main() -> ExitCode {
             scale: args.scale,
             threads: spotcheck_simcore::parallel::configured_threads(),
             shards: args.shards,
-            queue: spotcheck_simcore::queue::default_backend(),
-            pool: args.pool,
-            fast_forward: args.fast_forward,
             total_wall,
-            scaling: scaling.as_ref(),
             trace_library: ingest.as_ref(),
             results: &results,
         };
@@ -217,12 +175,6 @@ fn main() -> ExitCode {
         );
         println!("==============================================================");
         println!("{}", result.output);
-    }
-    if let Some(scaling) = &scaling {
-        println!("==============================================================");
-        println!("[fleet_scaling] measured worker-count sweep");
-        println!("==============================================================");
-        println!("{}", scaling.render());
     }
     ExitCode::SUCCESS
 }

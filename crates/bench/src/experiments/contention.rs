@@ -20,7 +20,7 @@
 //!   of silently succeeding.
 //!
 //! Every run is seeded and closed-form deterministic, so the rendered
-//! table is byte-identical across `--threads` and `--queue` backends.
+//! table is byte-identical at any `--threads` setting.
 
 use spotcheck_core::config::{ContentionConfig, SpotCheckConfig};
 use spotcheck_core::driver::SpotCheckSim;

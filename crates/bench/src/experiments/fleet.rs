@@ -11,7 +11,7 @@
 //! and peak queue depth land in `BENCH_RESULTS.json` via the harness's
 //! standard instrumentation; the rendered table carries only deterministic
 //! simulation outcomes so byte-identical output can be asserted across
-//! thread counts and queue backends.
+//! thread counts.
 //!
 //! The fleet's own bookkeeping uses the generational
 //! [`Slab`](spotcheck_simcore::slab::Slab): mid-run churn releases a slice

@@ -80,34 +80,6 @@ impl ShardedPlan {
         }
     }
 
-    /// Reduced-scale sizing for the `fleet_scaling` sweep: 8 shards so
-    /// every swept worker count in {1, 2, 4, 8} divides the topology
-    /// evenly, small enough that four back-to-back runs stay cheap.
-    fn scaling(scale: Scale) -> Self {
-        match scale {
-            // 8 shards x 25 customers x 100 VMs = 20,000 nested VMs.
-            Scale::Full => ShardedPlan {
-                shards: 8,
-                customers_per_shard: 25,
-                vms_per_customer: 100,
-                horizon: SimDuration::from_days(28),
-                churn_at: SimTime::ZERO + SimDuration::from_days(10),
-                storm_at: SimTime::ZERO + SimDuration::from_days(14),
-                storm_stagger: SimDuration::from_hours(3),
-            },
-            // 8 shards x 2 customers x 25 VMs = 400 VMs over one week.
-            Scale::Quick => ShardedPlan {
-                shards: 8,
-                customers_per_shard: 2,
-                vms_per_customer: 25,
-                horizon: SimDuration::from_days(7),
-                churn_at: SimTime::ZERO + SimDuration::from_days(2),
-                storm_at: SimTime::ZERO + SimDuration::from_days(3),
-                storm_stagger: SimDuration::from_hours(6),
-            },
-        }
-    }
-
     fn fleet_size(&self) -> usize {
         self.shards as usize * self.customers_per_shard * self.vms_per_customer
     }
@@ -152,13 +124,8 @@ fn zone_name(shard: u16) -> String {
     format!("az{shard:02}")
 }
 
-/// Builds the full sharded fleet for a scale.
-pub(crate) fn build(scale: Scale) -> ShardedFleetSim {
-    build_plan(&ShardedPlan::for_scale(scale))
-}
-
-/// Builds a sharded fleet for an explicit sizing plan.
-fn build_plan(plan: &ShardedPlan) -> ShardedFleetSim {
+/// Builds the sharded fleet for a sizing plan.
+fn build(plan: &ShardedPlan) -> ShardedFleetSim {
     let root = SimRng::seed(0x5A4D_F1EE7);
     let specs: Vec<FleetShardSpec> = (0..plan.shards)
         .map(|s| {
@@ -209,7 +176,7 @@ fn build_plan(plan: &ShardedPlan) -> ShardedFleetSim {
 /// Runs the sharded fleet experiment.
 pub fn run(scale: Scale) -> String {
     let plan = ShardedPlan::for_scale(scale);
-    let mut sim = build(scale);
+    let mut sim = build(&plan);
     let horizon = SimTime::ZERO + plan.horizon;
     sim.run_until(horizon);
 
@@ -278,22 +245,18 @@ pub fn run(scale: Scale) -> String {
         "journal entries dropped".into(),
         sim.journal_dropped().to_string(),
     ]);
-    // Epoch accounting. The grid total (executed + fast-forwarded) is
-    // invariant across every execution-mode knob, so it participates in
-    // the byte-identity contract like any other outcome. The split and
-    // the worker count legitimately vary with run configuration, so those
-    // rows carry the "(run config)" marker the determinism suite and the
-    // CI matrix mask — the same treatment wall-clock already gets.
+    // Epoch accounting is a pure function of the scenario, so it takes
+    // part in the byte-identity contract like any other outcome. Only the
+    // worker count varies with run configuration; its row carries the
+    // "(run config)" marker the determinism suite and the CI matrix mask —
+    // the same treatment wall-clock already gets.
     t.row(vec![
         "epoch windows (grid)".into(),
         sim.epoch_windows().to_string(),
     ]);
-    // Fixed-width split so the value column's width (and with it the
-    // table's separator rule) stays constant whatever the run config —
-    // only this row's own bytes vary, and it is masked.
     t.row(vec![
-        "epochs executed / fast-forwarded (run config)".into(),
-        format!("{:>8} / {:>8}", sim.epochs(), sim.epochs_fast_forwarded()),
+        "epochs executed / fast-forwarded".into(),
+        format!("{} / {}", sim.epochs(), sim.epochs_fast_forwarded()),
     ]);
     t.row(vec![
         "pool workers (run config)".into(),
@@ -309,126 +272,4 @@ pub fn run(scale: Scale) -> String {
         plan.shards,
     ));
     out
-}
-
-/// One worker-count leg of the scaling sweep.
-#[derive(Debug, Clone)]
-pub struct ScalingRow {
-    /// `--shards` worker count this leg ran with.
-    pub workers: usize,
-    /// Wall-clock of `run_until` alone (no build time).
-    pub wall: std::time::Duration,
-    /// Simulation events the run processed.
-    pub events: u64,
-}
-
-impl ScalingRow {
-    /// Events per wall-clock second (0 for a zero-length run).
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.events as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The measured `fleet_scaling` sweep: one reduced-scale `fleet_sharded`
-/// run per worker count, plus the host parallelism that contextualizes
-/// the numbers (on a 1-core runner every leg time-slices one CPU, so
-/// speedups near 1.0x are the honest expectation).
-#[derive(Debug, Clone)]
-pub struct ScalingReport {
-    /// `std::thread::available_parallelism()` on the machine that ran.
-    pub host_parallelism: usize,
-    /// Logical shard count of the swept scenario.
-    pub shards: u16,
-    /// Nested VMs in the swept scenario.
-    pub nested_vms: usize,
-    /// Scenario horizon in days.
-    pub horizon_days: f64,
-    /// One row per swept worker count, ascending.
-    pub rows: Vec<ScalingRow>,
-}
-
-impl ScalingReport {
-    /// Speedup of `row` relative to the 1-worker leg.
-    pub fn speedup(&self, row: &ScalingRow) -> f64 {
-        let base = self.rows[0].wall.as_secs_f64();
-        let this = row.wall.as_secs_f64();
-        if this > 0.0 {
-            base / this
-        } else {
-            0.0
-        }
-    }
-
-    /// Renders the human-readable scaling table.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(&["workers", "wall (s)", "events", "events/s", "speedup"]);
-        for row in &self.rows {
-            t.row(vec![
-                row.workers.to_string(),
-                f(row.wall.as_secs_f64(), 3),
-                row.events.to_string(),
-                format!("{:.3e}", row.events_per_sec()),
-                format!("{:.2}x", self.speedup(row)),
-            ]);
-        }
-        let mut out = t.render();
-        out.push_str(&format!(
-            "\nfleet_sharded at reduced scale ({} shards, {} nested VMs, {:.0} days),\n\
-             one run per worker count; detected host parallelism: {}.\n",
-            self.shards, self.nested_vms, self.horizon_days, self.host_parallelism,
-        ));
-        out
-    }
-}
-
-/// Runs the `fleet_scaling` sweep: the reduced-scale scenario once per
-/// worker count in {1, 2, 4, 8}, asserting along the way that every leg
-/// produced the identical simulation (steps, messages, grid windows,
-/// journal truncation) — the determinism contract, revalidated in the
-/// same process that measures it.
-pub fn run_scaling(scale: Scale) -> ScalingReport {
-    let plan = ShardedPlan::scaling(scale);
-    let prev_workers = spotcheck_simcore::shard::configured_shard_workers();
-    let horizon = SimTime::ZERO + plan.horizon;
-    let mut rows = Vec::new();
-    let mut signature: Option<(u64, u64, u64, u64)> = None;
-    for workers in [1usize, 2, 4, 8] {
-        spotcheck_simcore::shard::set_shard_workers(workers);
-        let mut sim = build_plan(&plan);
-        let start = std::time::Instant::now();
-        let ((), events) = spotcheck_simcore::metrics::measure(|| sim.run_until(horizon));
-        let wall = start.elapsed();
-        let sig = (
-            sim.total_steps(),
-            sim.messages_delivered(),
-            sim.epoch_windows(),
-            sim.journal_dropped(),
-        );
-        match &signature {
-            None => signature = Some(sig),
-            Some(expect) => assert_eq!(
-                *expect, sig,
-                "scaling sweep diverged at {workers} workers: output must be \
-                 byte-identical at every worker count"
-            ),
-        }
-        rows.push(ScalingRow {
-            workers,
-            wall,
-            events,
-        });
-    }
-    spotcheck_simcore::shard::set_shard_workers(prev_workers);
-    ScalingReport {
-        host_parallelism: spotcheck_simcore::parallel::default_threads(),
-        shards: plan.shards,
-        nested_vms: plan.fleet_size(),
-        horizon_days: plan.horizon.as_secs_f64() / 86_400.0,
-        rows,
-    }
 }

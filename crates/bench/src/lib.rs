@@ -21,6 +21,5 @@ pub mod experiments;
 pub mod report;
 pub mod table;
 
-pub use experiments::fleet_sharded::{run_scaling, ScalingReport, ScalingRow};
 pub use experiments::{all_ids, run, run_all, run_many, ExperimentResult, Scale};
 pub use report::PerfReport;

@@ -8,9 +8,6 @@
 //! subset of JSON emitted is deliberately small: objects, arrays, strings,
 //! finite numbers.
 
-use spotcheck_simcore::queue::QueueBackend;
-
-use crate::experiments::fleet_sharded::ScalingReport;
 use crate::experiments::trace_library::IngestReport;
 use crate::experiments::{ExperimentResult, Scale};
 
@@ -23,19 +20,9 @@ pub struct PerfReport<'a> {
     pub threads: usize,
     /// Shard-worker cap (`--shards`; 0 follows `--threads`).
     pub shards: usize,
-    /// Event-queue backend the run used.
-    pub queue: QueueBackend,
-    /// Whether multi-worker epoch windows used the persistent pool
-    /// (`false` under `--no-pool`).
-    pub pool: bool,
-    /// Whether idle-epoch fast-forward was enabled (`false` under
-    /// `--no-fast-forward`).
-    pub fast_forward: bool,
     /// End-to-end wall-clock for the whole invocation (includes registry
     /// fan-out overlap, so it is at most the sum of per-experiment walls).
     pub total_wall: std::time::Duration,
-    /// The measured `fleet_scaling` sweep, when `--scaling` ran one.
-    pub scaling: Option<&'a ScalingReport>,
     /// The archive-ingest measurements, when the `trace_library`
     /// experiment ran.
     pub trace_library: Option<&'a IngestReport>,
@@ -60,45 +47,13 @@ impl PerfReport<'_> {
         // The run configuration, so consumers (the CI throughput guard)
         // can refuse to compare unlike-configured runs.
         out.push_str(&format!(
-            "  \"config\": {{\"queue\": \"{}\", \"threads\": {}, \"shards\": {}, \
-             \"pool\": {}, \"fast_forward\": {}}},\n",
-            self.queue.label(),
-            self.threads,
-            self.shards,
-            self.pool,
-            self.fast_forward
+            "  \"config\": {{\"threads\": {}, \"shards\": {}}},\n",
+            self.threads, self.shards
         ));
         out.push_str(&format!(
             "  \"total_wall_secs\": {},\n",
             json_f64(self.total_wall.as_secs_f64())
         ));
-        if let Some(scaling) = self.scaling {
-            out.push_str("  \"fleet_scaling\": {\n");
-            out.push_str(&format!(
-                "    \"host_parallelism\": {},\n",
-                scaling.host_parallelism
-            ));
-            out.push_str(&format!("    \"shards\": {},\n", scaling.shards));
-            out.push_str(&format!("    \"nested_vms\": {},\n", scaling.nested_vms));
-            out.push_str(&format!(
-                "    \"horizon_days\": {},\n",
-                json_f64(scaling.horizon_days)
-            ));
-            out.push_str("    \"rows\": [\n");
-            for (i, row) in scaling.rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{\"workers\": {}, \"wall_secs\": {}, \"events\": {}, \
-                     \"events_per_sec\": {}, \"speedup\": {}}}{}\n",
-                    row.workers,
-                    json_f64(row.wall.as_secs_f64()),
-                    row.events,
-                    json_f64(row.events_per_sec()),
-                    json_f64(scaling.speedup(row)),
-                    if i + 1 < scaling.rows.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ]\n  },\n");
-        }
         if let Some(ingest) = self.trace_library {
             out.push_str("  \"trace_library\": {\n");
             out.push_str(&format!("    \"markets\": {},\n", ingest.markets));
@@ -223,11 +178,7 @@ mod tests {
             scale: Scale::Quick,
             threads: 4,
             shards: 8,
-            queue: QueueBackend::Wheel,
-            pool: true,
-            fast_forward: true,
             total_wall: std::time::Duration::from_millis(12),
-            scaling: None,
             trace_library: None,
             results: &results,
         };
@@ -235,14 +186,11 @@ mod tests {
         assert!(json.contains("\"suite\": \"spotcheck-experiments\""));
         assert!(json.contains("\"scale\": \"quick\""));
         assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains(
-            "\"config\": {\"queue\": \"wheel\", \"threads\": 4, \"shards\": 8, \
-             \"pool\": true, \"fast_forward\": true}"
-        ));
+        assert!(json.contains("\"config\": {\"threads\": 4, \"shards\": 8}"));
         assert!(json.contains("\"id\": \"fig1\""));
         assert!(json.contains("\"id\": \"fig6a\""));
         assert!(json.contains("\"total_events\": 100"));
-        assert!(!json.contains("fleet_scaling"));
+        assert!(!json.contains("trace_library"));
         // Balanced braces/brackets (a cheap well-formedness check; the CI
         // smoke job does a real parse with python).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -250,36 +198,13 @@ mod tests {
     }
 
     #[test]
-    fn scaling_block_renders_when_present() {
-        use crate::experiments::fleet_sharded::{ScalingReport, ScalingRow};
-        let scaling = ScalingReport {
-            host_parallelism: 8,
-            shards: 8,
-            nested_vms: 20_000,
-            horizon_days: 28.0,
-            rows: vec![
-                ScalingRow {
-                    workers: 1,
-                    wall: std::time::Duration::from_millis(4000),
-                    events: 1_000_000,
-                },
-                ScalingRow {
-                    workers: 2,
-                    wall: std::time::Duration::from_millis(2100),
-                    events: 1_000_000,
-                },
-            ],
-        };
+    fn trace_library_block_renders_when_present() {
         let results = vec![result("fleet_sharded", 100, 10)];
         let report = PerfReport {
             scale: Scale::Full,
             threads: 1,
             shards: 0,
-            queue: QueueBackend::Wheel,
-            pool: false,
-            fast_forward: false,
             total_wall: std::time::Duration::from_millis(12),
-            scaling: Some(&scaling),
             trace_library: Some(&IngestReport {
                 markets: 216,
                 points: 9_000_000,
@@ -293,13 +218,8 @@ mod tests {
             results: &results,
         };
         let json = report.to_json();
-        assert!(json.contains("\"pool\": false, \"fast_forward\": false"));
-        assert!(json.contains("\"fleet_scaling\": {"));
         assert!(json.contains("\"trace_library\": {"));
         assert!(json.contains("\"stl_load_speedup\": 25.0"));
-        assert!(json.contains("\"host_parallelism\": 8"));
-        assert!(json.contains("\"workers\": 2"));
-        assert!(json.contains("\"speedup\": 1."));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

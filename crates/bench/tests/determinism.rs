@@ -58,8 +58,8 @@ fn run_many_rejects_unknown_ids() {
 /// Masks the wall-clock field of `[id] title  (0.123s, 456 events)` header
 /// lines, keeping the event counts — those must match across worker counts.
 /// Also masks report rows marked `(run config)`: those surface execution
-/// configuration (pool worker count, fast-forward split) that legitimately
-/// varies with the knobs under test, same as wall-clock does.
+/// configuration (the pool worker count) that legitimately varies with the
+/// knobs under test, same as wall-clock does.
 fn mask_wall(stdout: &str) -> String {
     stdout
         .lines()
@@ -80,134 +80,87 @@ fn mask_wall(stdout: &str) -> String {
         .join("\n")
 }
 
+/// Runs the `experiments` binary at quick scale with `args` and returns
+/// its masked stdout.
+fn run_quick(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("--quick")
+        .args(args)
+        .output()
+        .expect("experiments binary runs");
+    assert!(out.status.success(), "{args:?} exited nonzero");
+    mask_wall(&String::from_utf8(out.stdout).expect("utf-8 output"))
+}
+
 #[test]
 fn cli_output_is_byte_identical_across_thread_counts() {
-    let run = |threads: &str| {
-        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-            .args(["--quick", "--threads", threads])
-            .output()
-            .expect("experiments binary runs");
-        assert!(out.status.success(), "--threads {threads} exited nonzero");
-        mask_wall(&String::from_utf8(out.stdout).expect("utf-8 output"))
-    };
-    let serial = run("1");
-    let parallel = run("4");
     assert_eq!(
-        serial, parallel,
+        run_quick(&["--threads", "1"]),
+        run_quick(&["--threads", "4"]),
         "CLI output (including event counts) must not depend on --threads"
     );
 }
 
 #[test]
 fn fleet_is_identical_across_threads_and_queue_backends() {
+    // Named when the event queue had two backends; the heap is the one
+    // queue now.
     // The fleet experiment drives the full controller at scale; its report
     // (including event counts and peak queue depth) must not depend on the
-    // worker count or on which event-queue backend ran the simulation.
-    let run = |args: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-            .args(["--quick", "fleet"])
-            .args(args)
-            .output()
-            .expect("experiments binary runs");
-        assert!(out.status.success(), "{args:?} exited nonzero");
-        mask_wall(&String::from_utf8(out.stdout).expect("utf-8 output"))
-    };
-    let baseline = run(&["--threads", "1", "--queue", "wheel"]);
+    // worker count. --shards is a pure worker knob; a non-sharded
+    // experiment must not even notice it.
+    let baseline = run_quick(&["fleet", "--threads", "1"]);
     for args in [
-        &["--threads", "4", "--queue", "wheel"][..],
-        &["--threads", "1", "--queue", "heap"][..],
-        &["--threads", "4", "--queue", "heap"][..],
-        // --shards is a pure worker knob; a non-sharded experiment must
-        // not even notice it.
-        &["--shards", "2", "--queue", "wheel"][..],
-        &["--shards", "8", "--queue", "heap"][..],
+        &["fleet", "--threads", "4"][..],
+        &["fleet", "--shards", "2"][..],
+        &["fleet", "--shards", "8"][..],
     ] {
-        assert_eq!(run(args), baseline, "fleet diverged under {args:?}");
+        assert_eq!(run_quick(args), baseline, "fleet diverged under {args:?}");
     }
 }
 
 #[test]
 fn fleet_sharded_is_identical_across_shards_threads_and_queue_backends() {
+    // Named when the event queue had two backends; the heap is the one
+    // queue now.
     // The sharded fleet's logical shard topology is fixed by the scenario;
-    // --shards only chooses worker threads for the epoch windows, so the
-    // rendered table (counters, gossip totals, event counts) must be
-    // byte-identical across every combination of shard workers, harness
-    // threads, and queue backend.
-    let run = |args: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-            .args(["--quick", "fleet_sharded"])
-            .args(args)
-            .output()
-            .expect("experiments binary runs");
-        assert!(out.status.success(), "{args:?} exited nonzero");
-        mask_wall(&String::from_utf8(out.stdout).expect("utf-8 output"))
-    };
-    let baseline = run(&["--shards", "1", "--queue", "wheel"]);
+    // --shards only chooses worker threads for the epoch windows (inline at
+    // one, the persistent pool above), so the rendered table (counters,
+    // gossip totals, epoch accounting, event counts) must be byte-identical
+    // across shard workers and harness threads.
+    let baseline = run_quick(&["fleet_sharded", "--shards", "1"]);
     for args in [
-        &["--shards", "2", "--queue", "wheel"][..],
-        &["--shards", "8", "--queue", "wheel"][..],
-        &["--shards", "1", "--queue", "heap"][..],
-        &["--shards", "2", "--queue", "heap"][..],
-        &["--shards", "8", "--queue", "heap"][..],
-        &["--shards", "8", "--threads", "4", "--queue", "wheel"][..],
+        &["fleet_sharded", "--shards", "2"][..],
+        &["fleet_sharded", "--shards", "8"][..],
+        &["fleet_sharded", "--shards", "8", "--threads", "4"][..],
     ] {
-        assert_eq!(run(args), baseline, "fleet_sharded diverged under {args:?}");
-    }
-}
-
-#[test]
-fn fleet_sharded_is_identical_with_pool_and_fast_forward_toggled() {
-    // The persistent worker pool and idle-epoch fast-forward are pure
-    // performance paths: pool-vs-spawn execution and fast-forward on/off
-    // must render the identical table at every shard-worker count and
-    // queue backend. (The simcore property suite additionally pins both
-    // against a flat single-queue reference engine.)
-    let run = |args: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-            .args(["--quick", "fleet_sharded"])
-            .args(args)
-            .output()
-            .expect("experiments binary runs");
-        assert!(out.status.success(), "{args:?} exited nonzero");
-        mask_wall(&String::from_utf8(out.stdout).expect("utf-8 output"))
-    };
-    let baseline = run(&["--shards", "1", "--queue", "wheel"]);
-    for args in [
-        &["--shards", "1", "--queue", "wheel", "--no-fast-forward"][..],
-        &["--shards", "2", "--queue", "wheel", "--no-pool"][..],
-        &["--shards", "2", "--queue", "heap", "--no-fast-forward"][..],
-        &["--shards", "8", "--queue", "wheel", "--no-pool", "--no-fast-forward"][..],
-        &["--shards", "8", "--queue", "heap", "--no-pool"][..],
-        &["--shards", "8", "--queue", "heap", "--no-pool", "--no-fast-forward"][..],
-    ] {
-        assert_eq!(run(args), baseline, "fleet_sharded diverged under {args:?}");
+        assert_eq!(
+            run_quick(args),
+            baseline,
+            "fleet_sharded diverged under {args:?}"
+        );
     }
 }
 
 #[test]
 fn contention_storm_is_identical_across_threads_and_queue_backends() {
+    // Named when the event queue had two backends; the heap is the one
+    // queue now.
     // The fluid-coupled fleet runs: flow completion instants emerge from
     // the shared max-min model, and every map it iterates is ordered, so
     // the violation table (and event counts) must be byte-identical
-    // whatever the worker count or event-queue backend.
-    let run = |args: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-            .args(["--quick", "contention_storm"])
-            .args(args)
-            .output()
-            .expect("experiments binary runs");
-        assert!(out.status.success(), "{args:?} exited nonzero");
-        mask_wall(&String::from_utf8(out.stdout).expect("utf-8 output"))
-    };
-    let baseline = run(&["--threads", "1", "--queue", "wheel"]);
+    // whatever the worker count.
+    let baseline = run_quick(&["contention_storm", "--threads", "1"]);
     for args in [
-        &["--threads", "4", "--queue", "wheel"][..],
-        &["--threads", "1", "--queue", "heap"][..],
-        &["--threads", "4", "--queue", "heap"][..],
-        &["--shards", "2", "--queue", "wheel"][..],
-        &["--shards", "8", "--queue", "heap"][..],
+        &["contention_storm", "--threads", "4"][..],
+        &["contention_storm", "--shards", "2"][..],
+        &["contention_storm", "--shards", "8"][..],
     ] {
-        assert_eq!(run(args), baseline, "contention_storm diverged under {args:?}");
+        assert_eq!(
+            run_quick(args),
+            baseline,
+            "contention_storm diverged under {args:?}"
+        );
     }
 }
 

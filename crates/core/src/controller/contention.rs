@@ -85,7 +85,7 @@ enum Purpose {
 ///
 /// Every map is a `BTreeMap`/`BTreeSet` so iteration order — and thus
 /// the exact sequence of fluid-model mutations — is deterministic across
-/// runs, thread counts, and queue backends.
+/// runs and thread counts.
 pub(super) struct FleetNet {
     sim: FluidSim,
     /// The AZ-wide aggregate uplink every flow crosses.

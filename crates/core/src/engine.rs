@@ -36,7 +36,6 @@ use spotcheck_cloudsim::cloud::{CloudConfig, CloudSim};
 use spotcheck_nestedvm::vm::NestedVmId;
 use spotcheck_simcore::digest::Digest64;
 use spotcheck_simcore::engine::{Scheduler, Simulation, StopReason, World};
-use spotcheck_simcore::queue::{default_backend, EventQueue, QueueBackend};
 use spotcheck_simcore::time::SimTime;
 use spotcheck_spotmarket::trace::PriceTrace;
 use spotcheck_workloads::WorkloadKind;
@@ -121,17 +120,7 @@ impl Scenario {
     /// Builds a fresh engine at time zero from this scenario (cloning the
     /// inputs; the scenario remains usable for later restores).
     pub fn build(&self) -> Engine {
-        self.build_with_backend(default_backend())
-    }
-
-    /// Like [`Scenario::build`] with an explicit queue backend.
-    pub fn build_with_backend(&self, backend: QueueBackend) -> Engine {
-        Engine::from_parts_with_backend(
-            self.traces.clone(),
-            self.config.clone(),
-            self.cloud.clone(),
-            backend,
-        )
+        Engine::from_parts(self.traces.clone(), self.config.clone(), self.cloud.clone())
     }
 }
 
@@ -278,7 +267,6 @@ pub struct TimedCommand {
 /// See the [module docs](self) for the stepping and replay discipline.
 pub struct Engine {
     sim: Simulation<Driver>,
-    backend: QueueBackend,
     scenario_digest: u64,
     commands: Vec<TimedCommand>,
     /// `steps()` when the last command was applied.
@@ -289,41 +277,21 @@ impl Engine {
     /// Builds an engine at time zero, consuming the scenario inputs (the
     /// path batch runs take — nothing is cloned or retained for replay
     /// beyond the scenario digest).
-    ///
-    /// The queue backend is latched from the process-wide default *here*,
-    /// at construction: later [`set_default_backend`] rebinds never affect
-    /// a live engine.
-    ///
-    /// [`set_default_backend`]: spotcheck_simcore::queue::set_default_backend
     pub fn from_parts(
         traces: Vec<PriceTrace>,
         config: SpotCheckConfig,
         cloud_cfg: CloudConfig,
     ) -> Self {
-        Engine::from_parts_with_backend(traces, config, cloud_cfg, default_backend())
-    }
-
-    /// Like [`Engine::from_parts`] with an explicit queue backend.
-    pub fn from_parts_with_backend(
-        traces: Vec<PriceTrace>,
-        config: SpotCheckConfig,
-        cloud_cfg: CloudConfig,
-        backend: QueueBackend,
-    ) -> Self {
         let scenario_digest = scenario_digest(&traces, &config, &cloud_cfg);
         let cloud = CloudSim::new(traces, cloud_cfg);
         let mut controller = Controller::new(cloud, config);
         let boot = controller.bootstrap(SimTime::ZERO);
-        let mut sim = Simulation::new_with_queue(
-            Driver { controller },
-            EventQueue::with_backend(backend),
-        );
+        let mut sim = Simulation::new(Driver { controller });
         for (t, e) in boot {
             sim.schedule_at(t, e);
         }
         Engine {
             sim,
-            backend,
             scenario_digest,
             commands: Vec::new(),
             steps_at_last_command: 0,
@@ -343,11 +311,6 @@ impl Engine {
     /// Events currently pending in the queue.
     pub fn queue_depth(&self) -> usize {
         self.sim.queue_depth()
-    }
-
-    /// The queue backend this engine was pinned to at construction.
-    pub fn backend(&self) -> QueueBackend {
-        self.backend
     }
 
     /// The digest of the scenario this engine was built from.
@@ -708,15 +671,5 @@ mod tests {
         assert!(matches!(err, ControllerError::UnknownVm(_)));
         assert_eq!(engine.command_log().len(), 1);
         assert_eq!(engine.journal().of_kind("command").count(), 1);
-    }
-
-    #[test]
-    fn backend_is_latched_at_construction() {
-        let scenario = quick_scenario();
-        let engine = scenario.build_with_backend(QueueBackend::Heap);
-        assert_eq!(engine.backend(), QueueBackend::Heap);
-        // Rebinds after construction must not affect the engine.
-        spotcheck_simcore::queue::set_default_backend(QueueBackend::Wheel);
-        assert_eq!(engine.backend(), QueueBackend::Heap);
     }
 }

@@ -48,7 +48,6 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-use spotcheck_simcore::queue::QueueBackend;
 use spotcheck_simcore::time::SimTime;
 
 use crate::engine::{Command, Engine, Scenario, TimedCommand};
@@ -341,17 +340,6 @@ impl Engine {
     /// Refuses unsupported versions, scenario mismatches, unreplayable
     /// logs, and any step-count or signature divergence.
     pub fn restore(scenario: &Scenario, snap: &Snapshot) -> Result<Engine, RestoreError> {
-        Engine::restore_with_backend(scenario, snap, spotcheck_simcore::queue::default_backend())
-    }
-
-    /// Like [`Engine::restore`] with an explicit queue backend. Both
-    /// backends pop bit-identically, so restoring under a different
-    /// backend than the original run still converges.
-    pub fn restore_with_backend(
-        scenario: &Scenario,
-        snap: &Snapshot,
-        backend: QueueBackend,
-    ) -> Result<Engine, RestoreError> {
         if !(1..=SNAPSHOT_VERSION).contains(&snap.version) {
             return Err(RestoreError::UnsupportedVersion(snap.version));
         }
@@ -362,7 +350,7 @@ impl Engine {
                 actual,
             });
         }
-        let mut engine = scenario.build_with_backend(backend);
+        let mut engine = scenario.build();
         for cmd in &snap.commands {
             engine.replay(cmd).map_err(RestoreError::Replay)?;
         }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! spotcheckd [--addr 127.0.0.1:7077] [--accel N] [--days N] [--seed N]
-//!            [--zone us-east-1a] [--queue wheel|heap]
+//!            [--zone us-east-1a]
 //!            [--snapshot-dir DIR] [--snapshot-every-secs N]
 //!            [--journal-sink FILE] [--resume]
 //! ```
@@ -21,7 +21,6 @@ use spotcheck_core::config::SpotCheckConfig;
 use spotcheck_core::engine::Scenario;
 use spotcheck_core::sim::standard_traces;
 use spotcheck_service::{signal, Daemon, DaemonConfig};
-use spotcheck_simcore::queue::{set_default_backend, QueueBackend};
 use spotcheck_simcore::time::{SimDuration, SimTime};
 
 struct Args {
@@ -30,7 +29,6 @@ struct Args {
     days: u64,
     seed: u64,
     zone: String,
-    queue: Option<QueueBackend>,
     snapshot_dir: Option<PathBuf>,
     snapshot_every_secs: u64,
     journal_sink: Option<PathBuf>,
@@ -44,7 +42,6 @@ fn parse_args() -> Result<Args, String> {
         days: 14,
         seed: 42,
         zone: "us-east-1a".to_string(),
-        queue: None,
         snapshot_dir: None,
         snapshot_every_secs: 21_600,
         journal_sink: None,
@@ -77,24 +74,20 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| "--seed: not an integer".to_string())?;
             }
             "--zone" => args.zone = value("--zone")?,
-            "--queue" => {
-                args.queue = Some(
-                    value("--queue")?
-                        .parse()
-                        .map_err(|_| "--queue: want wheel|heap".to_string())?,
-                );
-            }
             "--snapshot-dir" => args.snapshot_dir = Some(PathBuf::from(value("--snapshot-dir")?)),
             "--snapshot-every-secs" => {
                 args.snapshot_every_secs = value("--snapshot-every-secs")?
                     .parse()
                     .map_err(|_| "--snapshot-every-secs: not an integer".to_string())?;
+                if args.snapshot_every_secs == 0 {
+                    return Err("--snapshot-every-secs must be positive".to_string());
+                }
             }
             "--journal-sink" => args.journal_sink = Some(PathBuf::from(value("--journal-sink")?)),
             "--resume" => args.resume = true,
             "--help" | "-h" => {
                 return Err("usage: spotcheckd [--addr A] [--accel N] [--days N] [--seed N] \
-                            [--zone Z] [--queue wheel|heap] [--snapshot-dir D] \
+                            [--zone Z] [--snapshot-dir D] \
                             [--snapshot-every-secs N] [--journal-sink F] [--resume]"
                     .to_string());
             }
@@ -112,10 +105,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(backend) = args.queue {
-        // Construction-time default: the engine latches it when built.
-        set_default_backend(backend);
-    }
     let horizon = SimDuration::from_days(args.days);
     let config = SpotCheckConfig {
         seed: args.seed,

@@ -321,13 +321,12 @@ impl Daemon {
     fn status_json(&self) -> String {
         format!(
             "{{\"ok\": true, \"now_secs\": {}, \"steps\": {}, \"queue_depth\": {}, \
-             \"commands\": {}, \"horizon_secs\": {}, \"backend\": {}}}",
+             \"commands\": {}, \"horizon_secs\": {}}}",
             json_f64(self.engine.now().as_secs_f64()),
             self.engine.steps(),
             self.engine.queue_depth(),
             self.engine.command_log().len(),
             json_f64(self.config.horizon.as_secs_f64()),
-            json_str(self.engine.backend().label()),
         )
     }
 

@@ -143,6 +143,38 @@ fn daemon_serves_protocol_and_resumes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn a_zero_snapshot_interval_is_rejected() {
+    // A zero interval would write a full snapshot on every pacing tick.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_spotcheckd"))
+        .args(["--addr", "127.0.0.1:0", "--snapshot-every-secs", "0"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn spotcheckd");
+    let mut status = None;
+    for _ in 0..200 {
+        status = child.try_wait().expect("try_wait");
+        if status.is_some() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let Some(status) = status else {
+        child.kill().ok();
+        child.wait().ok();
+        panic!("spotcheckd accepted --snapshot-every-secs 0 and kept running");
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().expect("stderr piped"), &mut stderr)
+        .expect("read stderr");
+    assert!(!status.success(), "zero interval exited with {status}");
+    assert!(
+        stderr.contains("--snapshot-every-secs must be positive"),
+        "unexpected stderr: {stderr:?}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // The front door's bounds, driven in-process against `Daemon::run`.
 // ---------------------------------------------------------------------

@@ -1,9 +1,10 @@
 //! Seeded hostile-input tests for the byte-stream readers the daemon
 //! trusts least: `json::parse_object` (socket request lines),
 //! `Snapshot::parse` (snapshot files) and `read_command_tail` (the journal
-//! sink). Every truncated prefix of a valid input and seeded byte flips
-//! of it must come back `Ok` or `Err`: no panic, and no single allocation
-//! far beyond the input's own size.
+//! sink), plus the `.stl` trace-archive readers (`read_index`,
+//! `TraceLibrary::read_stl`). Every truncated prefix of a valid input and
+//! seeded byte flips of it must come back `Ok` or `Err`: no panic, and no
+//! single allocation far beyond the input's own size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,8 +16,15 @@ use spotcheck_core::engine::Scenario;
 use spotcheck_core::sim::standard_traces;
 use spotcheck_core::snapshot::Snapshot;
 use spotcheck_service::{json, read_command_tail, Daemon, DaemonConfig};
+use spotcheck_simcore::digest::Digest64;
+use spotcheck_simcore::parallel::set_max_threads;
 use spotcheck_simcore::rng::SimRng;
+use spotcheck_simcore::series::StepSeries;
 use spotcheck_simcore::time::{SimDuration, SimTime};
+use spotcheck_spotmarket::archive::read_index;
+use spotcheck_spotmarket::market::MarketId;
+use spotcheck_spotmarket::trace::PriceTrace;
+use spotcheck_spotmarket::TraceLibrary;
 
 /// The system allocator, recording the largest single request made on
 /// each thread.
@@ -232,5 +240,120 @@ fn sink_tails_never_panic_or_over_allocate() {
     for m in flips(&sink, 3, 1500, true) {
         read(&m);
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A small valid archive: one market on the fixed-u32 timestamp codec
+/// (every delta under ~71 minutes), one empty market, and one whose
+/// multi-hour deltas force the varint codec.
+fn valid_archive() -> Vec<u8> {
+    let trace = |ty: &str, zone: &str, n: u64, gap_secs: u64| {
+        let points = (0..n)
+            .map(|i| {
+                let t = SimTime::from_secs(i * gap_secs + i * i % 7);
+                (t, 0.01 + (i * 37 % 100) as f64 / 1e4)
+            })
+            .collect();
+        PriceTrace::new(
+            MarketId::new(ty, zone),
+            0.07,
+            StepSeries::from_points(points),
+        )
+    };
+    TraceLibrary::new(vec![
+        trace("m3.medium", "us-east-1a", 24, 600),
+        trace("m3.large", "us-east-1b", 0, 600),
+        trace("c3.xlarge", "eu-west-1a", 12, 3 * 3600),
+    ])
+    .expect("valid library")
+    .to_bytes()
+}
+
+/// Recomputes an archive's integrity digest in place (the `.stl` payload
+/// digest: four interleaved `Digest64` lanes over 32-byte groups of
+/// little-endian words, folded with the tail), so a flipped archive gets
+/// past the digest check and into the structural decoders.
+fn reseal(archive: &mut [u8]) {
+    let len = archive.len();
+    let payload = &archive[..len - 16];
+    let mut lanes = [
+        Digest64::new(),
+        Digest64::new(),
+        Digest64::new(),
+        Digest64::new(),
+    ];
+    let mut groups = payload.chunks_exact(32);
+    for g in &mut groups {
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            lane.absorb_u64(u64::from_le_bytes(g[j * 8..j * 8 + 8].try_into().unwrap()));
+        }
+    }
+    let mut digest = Digest64::new();
+    for lane in &lanes {
+        digest.absorb_u64(lane.finish());
+    }
+    let mut words = groups.remainder().chunks_exact(8);
+    for w in &mut words {
+        digest.absorb_u64(u64::from_le_bytes(w.try_into().unwrap()));
+    }
+    digest.write_bytes(words.remainder());
+    let sum = digest.finish().to_le_bytes();
+    archive[len - 16..len - 8].copy_from_slice(&sum);
+}
+
+#[test]
+fn stl_archives_never_panic_or_over_allocate() {
+    let dir = scratch_dir("stl");
+    let path = dir.join("hostile.stl");
+    let archive = valid_archive();
+    let mut resealed = archive.clone();
+    reseal(&mut resealed);
+    assert_eq!(resealed, archive, "reseal reproduces the stored digest");
+
+    let mut inputs: Vec<Vec<u8>> = (0..=archive.len())
+        .map(|cut| archive[..cut].to_vec())
+        .collect();
+    inputs.extend(flips(&archive, 5, 1500, true));
+    inputs.extend(flips(&archive, 6, 1500, true).into_iter().map(|mut m| {
+        if m.len() >= 16 {
+            reseal(&mut m);
+        }
+        m
+    }));
+    // A point count that the index and the block agree on but the block
+    // cannot hold: a single flip cannot forge both, so plant it directly.
+    // Market 0's count is a one-byte varint after its names and
+    // on-demand price, in the block and in the index entry alike.
+    let names = 1 + "m3.medium".len() + 1 + "us-east-1a".len();
+    let index_at = u64::from_le_bytes(archive[archive.len() - 24..][..8].try_into().unwrap());
+    let mut inflated = archive.clone();
+    for at in [8 + 1 + names + 8, index_at as usize + names + 1] {
+        assert_eq!(inflated[at], 24, "market 0's point count at byte {at}");
+        inflated[at] = 127;
+    }
+    reseal(&mut inflated);
+    inputs.push(inflated);
+    // One worker streams the archive block by block; two buffer it and
+    // decode blocks in parallel. The allocation bound is tracked on the
+    // calling thread, so the parallel branch's block decodes (on pool
+    // workers) are bounded by the streaming sweep, which runs the same
+    // decoder inline.
+    for workers in [1, 2] {
+        set_max_threads(workers);
+        std::fs::write(&path, &archive).expect("write archive");
+        assert_eq!(
+            TraceLibrary::read_stl(&path)
+                .expect("valid archive reads")
+                .len(),
+            3
+        );
+        assert_eq!(read_index(&path).expect("valid index reads").len(), 3);
+        for input in &inputs {
+            std::fs::write(&path, input).expect("write hostile archive");
+            survives("read_stl", input, || TraceLibrary::read_stl(&path));
+            survives("read_index", input, || read_index(&path));
+        }
+    }
+    set_max_threads(0);
     std::fs::remove_dir_all(&dir).ok();
 }

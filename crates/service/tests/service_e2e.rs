@@ -2,7 +2,7 @@
 //! injection, a periodic snapshot, and a journal spill sink must be
 //! reconstructible — kill the process, cold-start from the snapshot plus
 //! the sink's replay tail, and converge on a final state *byte-identical*
-//! to the uninterrupted run, under both queue backends.
+//! to the uninterrupted run.
 
 use std::path::PathBuf;
 
@@ -12,7 +12,6 @@ use spotcheck_core::sim::standard_traces;
 use spotcheck_core::snapshot::Snapshot;
 use spotcheck_core::types::CustomerId;
 use spotcheck_service::{latest_snapshot, read_command_tail, Daemon, DaemonConfig};
-use spotcheck_simcore::queue::QueueBackend;
 use spotcheck_simcore::time::{SimDuration, SimTime};
 use spotcheck_workloads::WorkloadKind;
 
@@ -78,15 +77,16 @@ fn drive_live_run(engine: &mut Engine, snapshot_path: &std::path::Path) -> Snaps
     snap
 }
 
-fn cold_start_matches_uninterrupted(backend: QueueBackend) {
-    let dir = scratch_dir(&format!("cold-{}", backend.label()));
+#[test]
+fn cold_start_is_byte_identical_heap() {
+    let dir = scratch_dir("cold");
     let sink = dir.join("journal.jsonl");
     let snap_path = dir.join("snapshot-00000000000043200000000.txt");
     let scenario = quick_scenario();
 
     // The run that gets "killed" — except we let it finish so its final
     // state is the reference the cold start must reproduce.
-    let mut live = scenario.build_with_backend(backend);
+    let mut live = scenario.build();
     live.journal_mut().set_sink(&sink).expect("open sink");
     let snap = drive_live_run(&mut live, &snap_path);
     live.journal_mut().flush_sink().expect("flush sink");
@@ -104,7 +104,7 @@ fn cold_start_matches_uninterrupted(backend: QueueBackend) {
     let tail = read_command_tail(&sink, parsed.commands.len() as u64).expect("read tail");
     assert_eq!(tail.len(), 2, "policy change + provision landed after the snapshot");
 
-    let mut revived = Engine::restore_with_backend(&scenario, &parsed, backend).expect("restore");
+    let mut revived = Engine::restore(&scenario, &parsed).expect("restore");
     for cmd in &tail {
         revived.replay(cmd).expect("replay tail");
     }
@@ -113,40 +113,6 @@ fn cold_start_matches_uninterrupted(backend: QueueBackend) {
     assert_eq!(revived.steps(), want_steps);
     assert_eq!(revived.state_signature(), want_signature);
     assert_eq!(revived.journal().to_json(), want_journal);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn cold_start_is_byte_identical_wheel() {
-    cold_start_matches_uninterrupted(QueueBackend::Wheel);
-}
-
-#[test]
-fn cold_start_is_byte_identical_heap() {
-    cold_start_matches_uninterrupted(QueueBackend::Heap);
-}
-
-#[test]
-fn restoring_under_the_other_backend_also_converges() {
-    let dir = scratch_dir("cross-backend");
-    let sink = dir.join("journal.jsonl");
-    let snap_path = dir.join("snapshot-1.txt");
-    let scenario = quick_scenario();
-
-    let mut live = scenario.build_with_backend(QueueBackend::Wheel);
-    live.journal_mut().set_sink(&sink).expect("open sink");
-    drive_live_run(&mut live, &snap_path);
-    let want = live.state_signature();
-
-    let parsed = Snapshot::read(&snap_path).expect("read snapshot");
-    let tail = read_command_tail(&sink, parsed.commands.len() as u64).expect("read tail");
-    let mut revived =
-        Engine::restore_with_backend(&scenario, &parsed, QueueBackend::Heap).expect("restore");
-    for cmd in &tail {
-        revived.replay(cmd).expect("replay tail");
-    }
-    revived.step_until(SimTime::from_days(2));
-    assert_eq!(revived.state_signature(), want);
     std::fs::remove_dir_all(&dir).ok();
 }
 

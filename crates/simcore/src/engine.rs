@@ -120,22 +120,9 @@ impl<W: World> Simulation<W> {
 
     /// Creates a simulation at time zero over `world`.
     pub fn new(world: W) -> Self {
-        Simulation::new_with_queue(world, EventQueue::new())
-    }
-
-    /// Creates a simulation at time zero over `world` with an explicitly
-    /// constructed event queue.
-    ///
-    /// [`Simulation::new`] latches the process-wide default queue backend
-    /// at construction; long-lived hosts (a daemon running several engine
-    /// lifetimes) should instead pin the backend per simulation via
-    /// [`EventQueue::with_backend`] and this constructor, so a later
-    /// [`crate::queue::set_default_backend`] cannot change the meaning of
-    /// an already-running simulation's configuration.
-    pub fn new_with_queue(world: W, queue: EventQueue<W::Event>) -> Self {
         Simulation {
             world,
-            queue,
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             steps: 0,
             step_limit: Self::DEFAULT_STEP_LIMIT,

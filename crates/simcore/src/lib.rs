@@ -7,9 +7,7 @@
 //!
 //! - [`time`] — integer-microsecond simulated time ([`time::SimTime`],
 //!   [`time::SimDuration`]).
-//! - [`queue`] — a deterministic (FIFO-on-ties) event queue with two
-//!   bit-identical backends: binary heap and hierarchical timing wheel
-//!   ([`wheel`]).
+//! - [`queue`] — a deterministic (FIFO-on-ties) binary-heap event queue.
 //! - [`engine`] — the [`engine::World`] trait and [`engine::Simulation`]
 //!   driver.
 //! - [`rng`] — seedable, forkable xoshiro256** RNG ([`rng::SimRng`]).
@@ -58,11 +56,10 @@ pub mod slab;
 pub mod stats;
 pub mod time;
 pub mod varint;
-pub mod wheel;
 
 pub use bitset::BitSet;
 pub use engine::{Scheduler, Simulation, StopReason, World};
-pub use queue::{EventQueue, QueueBackend};
+pub use queue::EventQueue;
 pub use slab::{DenseKey, IdMap, Slab};
 pub use rng::SimRng;
 pub use series::StepSeries;

@@ -54,10 +54,7 @@ static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
 /// The cap is freely rebindable and is read at each `parallel_map` call,
 /// not latched into any long-lived structure, so a daemon hosting several
 /// engine lifetimes can adjust it between (but not during) fan-outs
-/// without corrupting state. Compare [`crate::queue::set_default_backend`],
-/// which *is* latched per queue at construction: engines that must stay
-/// immune to rebinds pin their backend explicitly via
-/// [`crate::queue::EventQueue::with_backend`].
+/// without corrupting state.
 pub fn set_max_threads(n: usize) {
     MAX_THREADS.store(n, Ordering::SeqCst);
 }

@@ -36,8 +36,7 @@
 //! Determinism: the pool never reorders anything observable. Each slot is
 //! mutated by exactly one closure invocation per round, and cross-slot
 //! communication is the caller's job between rounds — so output is
-//! byte-identical at any worker count, exactly like the spawn path it
-//! replaces.
+//! byte-identical at any worker count, exactly like the inline path.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};

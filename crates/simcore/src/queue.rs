@@ -5,95 +5,16 @@
 //! deterministic regardless of how the underlying structure happens to
 //! order equal keys.
 //!
-//! Two interchangeable backends implement the contract:
-//!
-//! - [`QueueBackend::Heap`] — a binary heap of `(time, seq)`-reversed
-//!   entries; O(log n) per operation, zero assumptions about push times.
-//! - [`QueueBackend::Wheel`] — a hierarchical timing wheel
-//!   ([`crate::wheel::TimingWheel`]); O(1) amortized push/pop at fleet
-//!   scale, requiring only that pushes never land before the last popped
-//!   time (the engine's scheduler already guarantees this).
-//!
-//! Both produce bit-identical pop sequences (pinned by a seeded
-//! differential test), so the backend is purely a performance knob:
-//! process-wide via [`set_default_backend`] (the experiments CLI's
-//! `--queue heap|wheel`), or per-queue via [`EventQueue::with_backend`].
+//! The queue is a binary heap of `(time, seq)`-reversed entries: O(log n)
+//! per operation and no assumption about push times. The end-to-end
+//! measurement that chose it is in DESIGN.md §9.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 
 use crate::time::SimTime;
-use crate::wheel::TimingWheel;
 
-/// Selects the data structure behind an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueBackend {
-    /// Binary heap (the original backend; kept for differential testing).
-    Heap,
-    /// Hierarchical timing wheel (O(1) amortized; the default).
-    Wheel,
-}
-
-impl QueueBackend {
-    /// Display label (also the CLI spelling).
-    pub fn label(self) -> &'static str {
-        match self {
-            QueueBackend::Heap => "heap",
-            QueueBackend::Wheel => "wheel",
-        }
-    }
-}
-
-impl std::str::FromStr for QueueBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" => Ok(QueueBackend::Heap),
-            "wheel" => Ok(QueueBackend::Wheel),
-            other => Err(format!("unknown queue backend {other:?} (heap|wheel)")),
-        }
-    }
-}
-
-/// Process-wide default backend: 0 = wheel, 1 = heap.
-static DEFAULT_BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide backend used by [`EventQueue::new`].
-///
-/// Purely a performance knob — both backends pop bit-identical sequences —
-/// exposed so the experiments CLI (`--queue`) and the differential tests
-/// can switch an entire simulation run without plumbing a parameter
-/// through every constructor.
-///
-/// # Long-running hosts
-///
-/// The default is latched by each [`EventQueue::new`] at construction
-/// time: rebinding it never reconfigures an existing queue, only queues
-/// built afterwards. A daemon hosting several engine lifetimes should
-/// treat this as a construction-time default — pin the backend explicitly
-/// per engine (via [`EventQueue::with_backend`]) so a later rebind, e.g.
-/// by a concurrently running bench harness in the same process, cannot
-/// make two engines of one deployment disagree about their configuration.
-pub fn set_default_backend(backend: QueueBackend) {
-    let v = match backend {
-        QueueBackend::Wheel => 0,
-        QueueBackend::Heap => 1,
-    };
-    DEFAULT_BACKEND.store(v, AtomicOrdering::SeqCst);
-}
-
-/// The process-wide default backend ([`QueueBackend::Wheel`] unless
-/// overridden via [`set_default_backend`]).
-pub fn default_backend() -> QueueBackend {
-    match DEFAULT_BACKEND.load(AtomicOrdering::SeqCst) {
-        1 => QueueBackend::Heap,
-        _ => QueueBackend::Wheel,
-    }
-}
-
-/// A timestamped entry in the heap backend.
+/// A timestamped entry in the heap.
 ///
 /// Ordered so that the *earliest* time is the *greatest* entry (so it sits at
 /// the top of the max-heap), with the insertion sequence number breaking
@@ -125,11 +46,6 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-enum Backend<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Wheel(TimingWheel<E>),
-}
-
 /// A deterministic time-ordered event queue.
 ///
 /// # Examples
@@ -146,7 +62,7 @@ enum Backend<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
 }
 
@@ -157,29 +73,11 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the process-wide default backend
-    /// ([`default_backend`]).
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_backend(default_backend())
-    }
-
-    /// Creates an empty queue on an explicit backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        let backend = match backend {
-            QueueBackend::Heap => Backend::Heap(BinaryHeap::new()),
-            QueueBackend::Wheel => Backend::Wheel(TimingWheel::new()),
-        };
         EventQueue {
-            backend,
+            heap: BinaryHeap::new(),
             next_seq: 0,
-        }
-    }
-
-    /// The backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match &self.backend {
-            Backend::Heap(_) => QueueBackend::Heap,
-            Backend::Wheel(_) => QueueBackend::Wheel,
         }
     }
 
@@ -187,20 +85,12 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(Entry { time, seq, event }),
-            Backend::Wheel(wheel) => wheel.push(time.as_micros(), seq, event),
-        }
+        self.heap.push(Entry { time, seq, event });
     }
 
     /// Removes and returns the earliest event, FIFO among ties.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let popped = match &mut self.backend {
-            Backend::Heap(heap) => heap.pop().map(|e| (e.time, e.event)),
-            Backend::Wheel(wheel) => wheel
-                .pop()
-                .map(|(t, e)| (SimTime::from_micros(t), e)),
-        };
+        let popped = self.heap.pop().map(|e| (e.time, e.event));
         if popped.is_some() {
             crate::metrics::add(1);
         }
@@ -209,31 +99,22 @@ impl<E> EventQueue<E> {
 
     /// Returns the firing time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(heap) => heap.peek().map(|e| e.time),
-            Backend::Wheel(wheel) => wheel.peek_time().map(SimTime::from_micros),
-        }
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Wheel(wheel) => wheel.len(),
-        }
+        self.heap.len()
     }
 
     /// Returns true if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Removes all pending events.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.clear(),
-            Backend::Wheel(wheel) => wheel.clear(),
-        }
+        self.heap.clear();
     }
 
     /// Drains all events at the earliest pending instant into `batch`
@@ -248,18 +129,8 @@ impl<E> EventQueue<E> {
     pub fn pop_batch_into(&mut self, batch: &mut Vec<E>) -> Option<SimTime> {
         batch.clear();
         let t = self.peek_time()?;
-        match &mut self.backend {
-            Backend::Heap(heap) => {
-                while heap.peek().map(|e| e.time) == Some(t) {
-                    batch.push(heap.pop().expect("peeked entry must exist").event);
-                }
-            }
-            Backend::Wheel(wheel) => {
-                let raw = t.as_micros();
-                while wheel.peek_time() == Some(raw) {
-                    batch.push(wheel.pop().expect("peeked entry must exist").1);
-                }
-            }
+        while self.heap.peek().map(|e| e.time) == Some(t) {
+            batch.push(self.heap.pop().expect("peeked entry must exist").event);
         }
         crate::metrics::add(batch.len() as u64);
         Some(t)
@@ -283,117 +154,85 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
-    fn both_backends() -> [EventQueue<i32>; 2] {
-        [
-            EventQueue::with_backend(QueueBackend::Heap),
-            EventQueue::with_backend(QueueBackend::Wheel),
-        ]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut q in [
-            EventQueue::with_backend(QueueBackend::Heap),
-            EventQueue::with_backend(QueueBackend::Wheel),
-        ] {
-            q.push(SimTime::from_secs(3), 'c');
-            q.push(SimTime::from_secs(1), 'a');
-            q.push(SimTime::from_secs(2), 'b');
-            let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec!['a', 'b', 'c']);
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(3), 'c');
+        q.push(SimTime::from_secs(1), 'a');
+        q.push(SimTime::from_secs(2), 'b');
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!['a', 'b', 'c']);
     }
 
     #[test]
     fn ties_break_fifo() {
-        for mut q in both_backends() {
-            let t = SimTime::from_secs(1);
-            for i in 0..100 {
-                q.push(t, i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        for i in 0..100 {
+            q.push(t, i);
         }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn interleaved_ties_stay_fifo() {
-        for backend in [QueueBackend::Heap, QueueBackend::Wheel] {
-            let mut q = EventQueue::with_backend(backend);
-            let t1 = SimTime::from_secs(1);
-            let t2 = SimTime::from_secs(2);
-            q.push(t2, "b1");
-            q.push(t1, "a1");
-            q.push(t2, "b2");
-            q.push(t1, "a2");
-            let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec!["a1", "a2", "b1", "b2"]);
-        }
+        let mut q = EventQueue::new();
+        let t1 = SimTime::from_secs(1);
+        let t2 = SimTime::from_secs(2);
+        q.push(t2, "b1");
+        q.push(t1, "a1");
+        q.push(t2, "b2");
+        q.push(t1, "a2");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["a1", "a2", "b1", "b2"]);
     }
 
     #[test]
     fn peek_does_not_remove() {
-        for backend in [QueueBackend::Heap, QueueBackend::Wheel] {
-            let mut q = EventQueue::with_backend(backend);
-            q.push(SimTime::from_secs(1), ());
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-            q.pop();
-            assert_eq!(q.peek_time(), None);
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(1), ());
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        q.pop();
+        assert_eq!(q.peek_time(), None);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn pop_batch_groups_same_instant() {
-        for mut q in both_backends() {
-            let t1 = SimTime::from_secs(1);
-            q.push(t1, 1);
-            q.push(t1, 2);
-            q.push(SimTime::from_secs(2), 3);
-            assert_eq!(q.pop_batch(), Some((t1, vec![1, 2])));
-            assert_eq!(q.pop_batch(), Some((SimTime::from_secs(2), vec![3])));
-            assert_eq!(q.pop_batch(), None);
-        }
+        let mut q = EventQueue::new();
+        let t1 = SimTime::from_secs(1);
+        q.push(t1, 1);
+        q.push(t1, 2);
+        q.push(SimTime::from_secs(2), 3);
+        assert_eq!(q.pop_batch(), Some((t1, vec![1, 2])));
+        assert_eq!(q.pop_batch(), Some((SimTime::from_secs(2), vec![3])));
+        assert_eq!(q.pop_batch(), None);
     }
 
     #[test]
     fn pop_batch_into_reuses_buffer() {
-        for mut q in both_backends() {
-            let t1 = SimTime::from_secs(1);
-            q.push(t1, 1);
-            q.push(t1, 2);
-            q.push(SimTime::from_secs(2), 3);
-            let mut buf = Vec::with_capacity(8);
-            assert_eq!(q.pop_batch_into(&mut buf), Some(t1));
-            assert_eq!(buf, vec![1, 2]);
-            assert_eq!(q.pop_batch_into(&mut buf), Some(SimTime::from_secs(2)));
-            assert_eq!(buf, vec![3]);
-            assert_eq!(q.pop_batch_into(&mut buf), None);
-            assert!(buf.is_empty());
-        }
+        let mut q = EventQueue::new();
+        let t1 = SimTime::from_secs(1);
+        q.push(t1, 1);
+        q.push(t1, 2);
+        q.push(SimTime::from_secs(2), 3);
+        let mut buf = Vec::with_capacity(8);
+        assert_eq!(q.pop_batch_into(&mut buf), Some(t1));
+        assert_eq!(buf, vec![1, 2]);
+        assert_eq!(q.pop_batch_into(&mut buf), Some(SimTime::from_secs(2)));
+        assert_eq!(buf, vec![3]);
+        assert_eq!(q.pop_batch_into(&mut buf), None);
+        assert!(buf.is_empty());
     }
 
     #[test]
     fn clear_empties() {
-        for mut q in both_backends() {
-            q.push(SimTime::ZERO, 0);
-            q.clear();
-            assert!(q.is_empty());
-        }
-    }
-
-    #[test]
-    fn backend_selection_round_trips() {
-        assert_eq!("heap".parse::<QueueBackend>(), Ok(QueueBackend::Heap));
-        assert_eq!("wheel".parse::<QueueBackend>(), Ok(QueueBackend::Wheel));
-        assert!("pigeonhole".parse::<QueueBackend>().is_err());
-        assert_eq!(QueueBackend::Heap.label(), "heap");
-        assert_eq!(QueueBackend::Wheel.label(), "wheel");
-        let q = EventQueue::<u8>::with_backend(QueueBackend::Heap);
-        assert_eq!(q.backend(), QueueBackend::Heap);
-        let w = EventQueue::<u8>::with_backend(QueueBackend::Wheel);
-        assert_eq!(w.backend(), QueueBackend::Wheel);
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, 0);
+        q.clear();
+        assert!(q.is_empty());
     }
 }

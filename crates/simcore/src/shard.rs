@@ -38,7 +38,7 @@
 //! seeded property tests in `tests/shard_props.rs`).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::engine::Scheduler;
 use crate::metrics;
@@ -306,49 +306,6 @@ pub fn shard_workers() -> usize {
     }
 }
 
-/// The raw [`set_shard_workers`] value (0 = follow `--threads`), without
-/// the fallback resolution [`shard_workers`] applies. Lets sweeps save and
-/// restore the knob exactly.
-pub fn configured_shard_workers() -> usize {
-    SHARD_WORKERS.load(Ordering::SeqCst)
-}
-
-/// When set (the default is cleared), multi-worker window execution falls
-/// back to per-window scoped spawns instead of the persistent pool.
-static POOL_DISABLED: AtomicBool = AtomicBool::new(false);
-
-/// When set (the default is cleared), empty epoch windows are executed
-/// one by one instead of being fast-forwarded over.
-static FAST_FORWARD_DISABLED: AtomicBool = AtomicBool::new(false);
-
-/// Chooses the multi-worker execution path: the persistent [`crate::pool`]
-/// (default, `true`) or per-window scoped spawns (`false`). Purely a
-/// performance knob — output is byte-identical either way (the CLI's
-/// `--no-pool`, pinned by the determinism suite).
-pub fn set_pool_enabled(on: bool) {
-    POOL_DISABLED.store(!on, Ordering::SeqCst);
-}
-
-/// Whether multi-worker windows use the persistent pool.
-pub fn pool_enabled() -> bool {
-    !POOL_DISABLED.load(Ordering::SeqCst)
-}
-
-/// Enables or disables idle-epoch fast-forward (default on). Fast-forward
-/// jumps over epoch windows in which no shard has anything due, landing on
-/// the epoch-grid point at or below the earliest due instant. It is pure
-/// coarsening — the executed window sequence is the slow path's minus its
-/// empty windows — so output is byte-identical either way (the CLI's
-/// `--no-fast-forward`, pinned by the determinism suite).
-pub fn set_fast_forward(on: bool) {
-    FAST_FORWARD_DISABLED.store(!on, Ordering::SeqCst);
-}
-
-/// Whether idle-epoch fast-forward is enabled.
-pub fn fast_forward_enabled() -> bool {
-    !FAST_FORWARD_DISABLED.load(Ordering::SeqCst)
-}
-
 /// A sharded discrete-event simulation over a set of [`ShardWorld`]s.
 ///
 /// # Examples
@@ -401,8 +358,6 @@ struct LoopState<M> {
     /// Empty epoch windows fast-forwarded over instead of executed.
     epochs_skipped: u64,
     delivered: u64,
-    /// Snapshot of [`fast_forward_enabled`] taken at `run_until` entry.
-    fast_forward: bool,
     scratch: ExchangeScratch<M>,
 }
 
@@ -415,10 +370,9 @@ struct ExchangeScratch<M> {
     per_dst: Vec<Vec<Envelope<M>>>,
 }
 
-/// How the epoch loop reaches its shard cells: inline (serial), scoped
-/// spawns per window (legacy path, kept selectable for benchmarking via
-/// [`set_pool_enabled`]), or the persistent worker pool. The loop itself
-/// is written once against this trait.
+/// How the epoch loop reaches its shard cells: inline (one worker) or the
+/// persistent worker pool (more than one). The loop itself is written once
+/// against this trait.
 trait WindowRunner<W: ShardWorld> {
     /// Runs the window `[.., end)` (or `[.., end]` when `inclusive`) on
     /// every cell.
@@ -438,35 +392,6 @@ impl<W: ShardWorld> WindowRunner<W> for InlineRunner<'_, W> {
         for cell in self.cells.iter_mut() {
             cell.run_window(end, inclusive);
         }
-    }
-
-    fn for_each_cell(&mut self, f: &mut dyn FnMut(&mut ShardCell<W>)) {
-        for cell in self.cells.iter_mut() {
-            f(cell);
-        }
-    }
-}
-
-/// Legacy multi-worker path: fresh scoped spawns every window via
-/// [`parallel::parallel_map_indexed`]. Retained so the pool's win stays
-/// measurable (`--no-pool`, the `spawn_window_*` microbenches).
-struct SpawnRunner<'a, W: ShardWorld> {
-    cells: &'a mut Vec<ShardCell<W>>,
-    workers: usize,
-}
-
-impl<W> WindowRunner<W> for SpawnRunner<'_, W>
-where
-    W: ShardWorld + Send,
-    W::Event: Send,
-    W::Msg: Send,
-{
-    fn run_windows(&mut self, end: SimTime, inclusive: bool) {
-        let cells = std::mem::take(self.cells);
-        *self.cells = parallel::parallel_map_indexed(self.workers, cells, |_, mut cell| {
-            cell.run_window(end, inclusive);
-            cell
-        });
     }
 
     fn for_each_cell(&mut self, f: &mut dyn FnMut(&mut ShardCell<W>)) {
@@ -539,9 +464,9 @@ impl<M> LoopState<M> {
         due
     }
 
-    /// The shared epoch loop: exchange, (maybe) fast-forward, run one
-    /// window, repeat; then resolve the horizon instant to quiescence.
-    /// Identical across all three [`WindowRunner`]s by construction.
+    /// The shared epoch loop: exchange, fast-forward over empty windows,
+    /// run one window, repeat; then resolve the horizon instant to
+    /// quiescence. Identical across both [`WindowRunner`]s by construction.
     fn run_loop<W: ShardWorld<Msg = M>>(
         &mut self,
         runner: &mut dyn WindowRunner<W>,
@@ -550,33 +475,31 @@ impl<M> LoopState<M> {
         while self.now < horizon {
             self.exchange(runner);
             let mut end = (self.now + self.epoch).min(horizon);
-            if self.fast_forward {
-                match self.earliest_due(runner) {
-                    // Window already non-empty: run it as usual.
-                    Some(t) if t < end => {}
-                    // Something is due before the horizon but past this
-                    // window: jump to the epoch-grid point at or below it.
-                    // The landing window provably contains `t`, so the
-                    // executed sequence is the slow path's minus its empty
-                    // windows (epoch-subdivision invariance gives
-                    // byte-identity).
-                    Some(t) if t < horizon => {
-                        let k = (t - self.now).as_micros() / self.epoch.as_micros();
-                        debug_assert!(k >= 1, "non-empty window misdetected as idle");
-                        self.now += self.epoch * k;
-                        self.epochs_skipped += k;
-                        end = (self.now + self.epoch).min(horizon);
-                    }
-                    // Nothing due before the horizon: skip straight to it.
-                    // The quiescence pass below handles the horizon
-                    // instant itself (inclusive), exactly as the slow path
-                    // would after grinding the remaining empty windows.
-                    _ => {
-                        let rem = (horizon - self.now).as_micros();
-                        self.epochs_skipped += rem.div_ceil(self.epoch.as_micros());
-                        self.now = horizon;
-                        break;
-                    }
+            match self.earliest_due(runner) {
+                // Window already non-empty: run it as usual.
+                Some(t) if t < end => {}
+                // Something is due before the horizon but past this
+                // window: jump to the epoch-grid point at or below it.
+                // The landing window provably contains `t`, so the
+                // executed sequence is the full grid's minus its empty
+                // windows (epoch-subdivision invariance gives
+                // byte-identity).
+                Some(t) if t < horizon => {
+                    let k = (t - self.now).as_micros() / self.epoch.as_micros();
+                    debug_assert!(k >= 1, "non-empty window misdetected as idle");
+                    self.now += self.epoch * k;
+                    self.epochs_skipped += k;
+                    end = (self.now + self.epoch).min(horizon);
+                }
+                // Nothing due before the horizon: skip straight to it.
+                // The quiescence pass below handles the horizon
+                // instant itself (inclusive), exactly as running the
+                // remaining empty windows one by one would.
+                _ => {
+                    let rem = (horizon - self.now).as_micros();
+                    self.epochs_skipped += rem.div_ceil(self.epoch.as_micros());
+                    self.now = horizon;
+                    break;
                 }
             }
             runner.run_windows(end, false);
@@ -665,7 +588,6 @@ impl<W: ShardWorld> ShardedSim<W> {
                 epochs: 0,
                 epochs_skipped: 0,
                 delivered: 0,
-                fast_forward: true,
                 scratch: ExchangeScratch {
                     all: Vec::new(),
                     per_dst,
@@ -694,16 +616,14 @@ impl<W: ShardWorld> ShardedSim<W> {
         self.state.epochs
     }
 
-    /// Empty epoch windows fast-forwarded over (zero when fast-forward is
-    /// disabled). [`Self::epochs`] plus this equals the grid total
-    /// ([`Self::epoch_windows`]) regardless of the fast-forward setting.
+    /// Empty epoch windows fast-forwarded over. [`Self::epochs`] plus this
+    /// equals the grid total ([`Self::epoch_windows`]).
     pub fn epochs_fast_forwarded(&self) -> u64 {
         self.state.epochs_skipped
     }
 
     /// Total epoch-grid windows covered so far (executed +
-    /// fast-forwarded). Invariant across every execution-mode knob, so
-    /// reports can print it without breaking byte-identity.
+    /// fast-forwarded).
     pub fn epoch_windows(&self) -> u64 {
         self.state.epochs + self.state.epochs_skipped
     }
@@ -784,24 +704,21 @@ impl<W: ShardWorld> ShardedSim<W> {
     /// at the horizon necessarily fire after it (conservative lookahead)
     /// and stay buffered for a later `run_until` call.
     ///
-    /// Execution mode is picked here per call: inline on the coordinator
-    /// when effectively serial, otherwise the persistent worker pool
-    /// ([`crate::pool`], the default) or legacy per-window scoped spawns
-    /// ([`set_pool_enabled`]`(false)`). Empty windows are fast-forwarded
-    /// over unless [`set_fast_forward`]`(false)`. All four combinations
-    /// produce byte-identical output.
+    /// Execution mode is picked here per call from the worker count:
+    /// inline on the coordinator for one worker, otherwise the persistent
+    /// worker pool ([`crate::pool`]). Empty windows are fast-forwarded
+    /// over. Output is byte-identical at every worker count.
     pub fn run_until(&mut self, horizon: SimTime)
     where
         W: Send,
         W::Event: Send,
         W::Msg: Send,
     {
-        self.state.fast_forward = fast_forward_enabled();
         let workers = shard_workers().clamp(1, self.cells.len());
         if workers <= 1 {
             self.state
                 .run_loop(&mut InlineRunner { cells: &mut self.cells }, horizon);
-        } else if pool_enabled() {
+        } else {
             let cells = std::mem::take(&mut self.cells);
             let state = &mut self.state;
             let (cells, ()) = pool::with_pool(
@@ -811,14 +728,6 @@ impl<W: ShardWorld> ShardedSim<W> {
                 |p| state.run_loop(&mut PoolRunner { pool: p }, horizon),
             );
             self.cells = cells;
-        } else {
-            self.state.run_loop(
-                &mut SpawnRunner {
-                    cells: &mut self.cells,
-                    workers,
-                },
-                horizon,
-            );
         }
         debug_assert!(
             self.cells
@@ -974,43 +883,37 @@ mod tests {
         assert_eq!(sim.epochs(), 1);
     }
 
-    /// Serializes tests that flip the process-wide pool/fast-forward
-    /// knobs: epoch accounting (unlike the output) legitimately depends
-    /// on the fast-forward setting, so concurrent toggling would race.
-    static KNOBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn fast_forward_skips_empty_windows_but_keeps_the_grid_total() {
-        let _serial = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
         // One event every hour, 60 s epochs: 59 of every 60 windows are
-        // empty. The grid total must match the slow path's epoch count
-        // and the logs must be byte-identical with fast-forward off.
+        // empty. Executed plus skipped windows must cover the whole grid,
+        // and the logs must match a run on a finer epoch grid.
         let lookahead = SimDuration::from_secs(60);
-        let run = |ff: bool| {
-            set_fast_forward(ff);
+        let run = |epoch: SimDuration| {
             let mut worlds = ping_ring(2, lookahead);
             for w in &mut worlds {
                 w.period = SimDuration::from_secs(3600);
             }
-            let mut sim = ShardedSim::new(worlds, lookahead);
+            let mut sim = ShardedSim::with_epoch(worlds, lookahead, epoch);
             sim.schedule_at(0, SimTime::ZERO, ());
             sim.run_until(SimTime::from_secs(6 * 3600));
-            set_fast_forward(true);
             let logs: Vec<_> = sim.worlds().map(|w| w.log.clone()).collect();
             (logs, sim.epochs(), sim.epochs_fast_forwarded(), sim.total_steps())
         };
-        let (logs_ff, epochs_ff, skipped_ff, steps_ff) = run(true);
-        let (logs_slow, epochs_slow, skipped_slow, steps_slow) = run(false);
-        assert_eq!(logs_ff, logs_slow);
-        assert_eq!(steps_ff, steps_slow);
-        assert_eq!(skipped_slow, 0);
-        assert_eq!(epochs_ff + skipped_ff, epochs_slow, "grid total must be invariant");
-        assert!(skipped_ff > 5 * epochs_ff, "most windows should fast-forward");
+        let (logs, epochs, skipped, steps) = run(lookahead);
+        let (logs_fine, _, _, steps_fine) = run(SimDuration::from_secs(20));
+        assert_eq!(logs, logs_fine);
+        assert_eq!(steps, steps_fine);
+        assert_eq!(
+            epochs + skipped,
+            6 * 60,
+            "grid total must cover the horizon"
+        );
+        assert!(skipped > 5 * epochs, "most windows should fast-forward");
     }
 
     #[test]
     fn fast_forward_with_nothing_due_jumps_to_the_horizon() {
-        let _serial = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
         let lookahead = SimDuration::from_secs(60);
         let mut sim = ShardedSim::new(ping_ring(2, lookahead), lookahead);
         // No initial events at all: every window is empty.
@@ -1020,14 +923,15 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_secs(3630));
     }
 
+    /// The pool path (more than one worker) matches the inline path, with
+    /// fast-forward (now unconditional) skipping the empty windows. The
+    /// name predates the removal of the spawn runner and of the switch
+    /// that turned fast-forward off.
     #[test]
     fn pool_and_spawn_paths_match_inline_with_and_without_fast_forward() {
-        let _serial = KNOBS.lock().unwrap_or_else(|e| e.into_inner());
         let lookahead = SimDuration::from_secs(60);
-        let run = |workers: usize, pool_on: bool, ff: bool| {
+        let run = |workers: usize| {
             set_shard_workers(workers);
-            set_pool_enabled(pool_on);
-            set_fast_forward(ff);
             let mut worlds = ping_ring(4, lookahead);
             for (i, w) in worlds.iter_mut().enumerate() {
                 // Mixed cadence so some windows are empty, some not.
@@ -1039,22 +943,12 @@ mod tests {
             }
             sim.run_until(SimTime::from_secs(3600));
             set_shard_workers(0);
-            set_pool_enabled(true);
-            set_fast_forward(true);
             let logs: Vec<_> = sim.worlds().map(|w| w.log.clone()).collect();
             (logs, sim.total_steps(), sim.messages_delivered(), sim.epoch_windows())
         };
-        let baseline = run(1, true, false);
-        for workers in [1, 2, 4] {
-            for pool_on in [true, false] {
-                for ff in [true, false] {
-                    assert_eq!(
-                        run(workers, pool_on, ff),
-                        baseline,
-                        "diverged at workers={workers} pool={pool_on} ff={ff}"
-                    );
-                }
-            }
+        let baseline = run(1);
+        for workers in [2, 4] {
+            assert_eq!(run(workers), baseline, "diverged at workers={workers}");
         }
     }
 

@@ -6,7 +6,7 @@
 
 use spotcheck_simcore::bitset::BitSet;
 use spotcheck_simcore::fluid::{max_min_rates, FlowSpec, Network};
-use spotcheck_simcore::queue::{EventQueue, QueueBackend};
+use spotcheck_simcore::queue::EventQueue;
 use spotcheck_simcore::rng::SimRng;
 use spotcheck_simcore::series::StepSeries;
 use spotcheck_simcore::stats::{Ecdf, Samples};
@@ -44,57 +44,56 @@ fn queue_pops_sorted_stable() {
     }
 }
 
-/// The heap and timing-wheel backends pop identical `(time, payload)`
-/// sequences over randomized push/pop interleavings — same-instant FIFO
-/// ties, engine-style `immediately()` pushes at the last popped time, and
-/// horizon-spanning delays that cross the wheel's overflow boundary
-/// (2^36 µs). Pushes honor the engine invariant (never earlier than the
-/// last popped time), which is the only schedule shape the wheel accepts.
+/// The heap-backed queue pops exactly what a reference queue — a sorted
+/// `(time, seq)` oracle — pops over randomized push/pop interleavings:
+/// same-instant FIFO ties, engine-style `immediately()` pushes at the last
+/// popped time, delays spanning microseconds to days, and pushes before
+/// the last popped time.
 #[test]
 fn queue_backends_pop_identically() {
     let mut rng = SimRng::seed(0xD1FF);
     for case in 0..CASES {
-        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
-        let mut wheel = EventQueue::with_backend(QueueBackend::Wheel);
+        let mut q = EventQueue::new();
+        // Oracle: pending (time, seq) -> payload; the smallest key pops.
+        let mut oracle = std::collections::BTreeMap::new();
         let n_ops = rng.gen_range(10, 400);
         let mut last_pop: u64 = 0;
-        let mut payload = 0u64;
-        let mut live = 0i64;
+        let mut seq = 0u64;
         for op in 0..n_ops {
-            if live > 0 && rng.gen_bool(0.4) {
-                let h = heap.pop();
-                let w = wheel.pop();
-                assert_eq!(h, w, "case {case} op {op}: backends diverged");
-                if let Some((t, _)) = h {
+            if !oracle.is_empty() && rng.gen_bool(0.4) {
+                let got = q.pop();
+                let want = oracle
+                    .pop_first()
+                    .map(|((t, _), p): ((u64, u64), u64)| (SimTime::from_micros(t), p));
+                assert_eq!(got, want, "case {case} op {op}: diverged from oracle");
+                if let Some((t, _)) = got {
                     last_pop = t.as_micros();
                 }
-                live -= 1;
             } else {
-                let dt = match rng.gen_range(0, 6) {
-                    0 => 0, // immediately(): ties at the popped instant
-                    1 => rng.gen_range(0, 64),
-                    2 => rng.gen_range(0, 100_000),
-                    3 => rng.gen_range(0, 1 << 20),
-                    4 => rng.gen_range(0, 1 << 37), // straddles the span
-                    _ => (1 << 36) + rng.gen_range(0, 1 << 30), // overflow
+                let t = match rng.gen_range(0, 6) {
+                    0 => last_pop, // immediately(): ties at the popped instant
+                    1 => last_pop + rng.gen_range(0, 64),
+                    2 => last_pop + rng.gen_range(0, 100_000),
+                    3 => last_pop + rng.gen_range(0, 1 << 20),
+                    4 => last_pop + rng.gen_range(0, 1 << 37),
+                    _ => rng.gen_range(0, last_pop + 1), // into the past
                 };
-                let t = SimTime::from_micros(last_pop + dt);
-                heap.push(t, payload);
-                wheel.push(t, payload);
-                payload += 1;
-                live += 1;
+                q.push(SimTime::from_micros(t), seq);
+                oracle.insert((t, seq), seq);
+                seq += 1;
             }
-            assert_eq!(heap.len(), wheel.len(), "case {case} op {op}");
-            assert_eq!(heap.peek_time(), wheel.peek_time(), "case {case} op {op}");
+            assert_eq!(q.len(), oracle.len(), "case {case} op {op}");
+            let want_peek = oracle.keys().next().map(|&(t, _)| SimTime::from_micros(t));
+            assert_eq!(q.peek_time(), want_peek, "case {case} op {op}");
         }
-        loop {
-            let h = heap.pop();
-            let w = wheel.pop();
-            assert_eq!(h, w, "case {case} drain: backends diverged");
-            if h.is_none() {
-                break;
-            }
+        while let Some(((t, _), p)) = oracle.pop_first() {
+            assert_eq!(
+                q.pop(),
+                Some((SimTime::from_micros(t), p)),
+                "case {case} drain"
+            );
         }
+        assert_eq!(q.pop(), None, "case {case} drain");
     }
 }
 

@@ -14,10 +14,7 @@ use std::collections::BTreeMap;
 
 use spotcheck_simcore::queue::EventQueue;
 use spotcheck_simcore::rng::SimRng;
-use spotcheck_simcore::shard::{
-    set_fast_forward, set_pool_enabled, set_shard_workers, ShardCtx, ShardId, ShardWorld,
-    ShardedSim,
-};
+use spotcheck_simcore::shard::{set_shard_workers, ShardCtx, ShardId, ShardWorld, ShardedSim};
 use spotcheck_simcore::time::{SimDuration, SimTime};
 
 const LOOKAHEAD: SimDuration = SimDuration::from_secs(600);
@@ -184,22 +181,7 @@ fn reference_logs(seed: u64, shards: u16) -> Vec<Vec<String>> {
 
 /// Runs the real sharded engine at a worker count and epoch subdivision.
 fn sharded_logs(seed: u64, shards: u16, workers: usize, epoch: SimDuration) -> Vec<Vec<String>> {
-    sharded_logs_cfg(seed, shards, workers, epoch, true, true)
-}
-
-/// [`sharded_logs`] with explicit execution-mode knobs: persistent pool
-/// vs scoped spawns, and idle-epoch fast-forward on/off.
-fn sharded_logs_cfg(
-    seed: u64,
-    shards: u16,
-    workers: usize,
-    epoch: SimDuration,
-    pool: bool,
-    fast_forward: bool,
-) -> Vec<Vec<String>> {
     set_shard_workers(workers);
-    set_pool_enabled(pool);
-    set_fast_forward(fast_forward);
     let worlds: Vec<AgentWorld> = (0..shards)
         .map(|s| AgentWorld(Agent::new(seed, s, shards)))
         .collect();
@@ -211,8 +193,6 @@ fn sharded_logs_cfg(
     }
     sim.run_until(HORIZON);
     set_shard_workers(0);
-    set_pool_enabled(true);
-    set_fast_forward(true);
     sim.worlds().map(|w| w.0.log.clone()).collect()
 }
 
@@ -225,7 +205,7 @@ fn lamport_merge_equals_flat_reference_order() {
                 reference.iter().map(Vec::len).sum::<usize>() > 0,
                 "seed {seed:#x}: degenerate schedule delivers nothing"
             );
-            for workers in [1usize, 4] {
+            for workers in [1usize, 2, 4] {
                 for epoch in [
                     LOOKAHEAD,
                     SimDuration::from_secs(300),
@@ -245,27 +225,23 @@ fn lamport_merge_equals_flat_reference_order() {
 
 #[test]
 fn pool_spawn_and_fast_forward_all_equal_the_flat_reference() {
-    // The execution-mode knobs (persistent pool vs per-window spawns,
-    // idle-epoch fast-forward on/off) must be invisible next to the flat
-    // single-queue reference — at serial and parallel worker counts and
-    // at a non-dividing epoch, where fast-forward's grid arithmetic is
-    // least trivial.
+    // The persistent pool at worker counts that divide neither shard count
+    // (one of them above it), with idle-epoch fast-forward, must be
+    // invisible next to the flat single-queue reference — also at a
+    // non-dividing epoch, where fast-forward's grid arithmetic is least
+    // trivial. (The name predates the removal of the per-window spawn
+    // runner.)
     for seed in [0xBEEF_u64, 0x5EED5EED] {
         for shards in [2u16, 7] {
             let reference = reference_logs(seed, shards);
-            for workers in [1usize, 4] {
+            for workers in [3usize, 5] {
                 for epoch in [LOOKAHEAD, SimDuration::from_secs(97)] {
-                    for pool in [true, false] {
-                        for fast_forward in [true, false] {
-                            let got =
-                                sharded_logs_cfg(seed, shards, workers, epoch, pool, fast_forward);
-                            assert_eq!(
-                                got, reference,
-                                "diverged: seed={seed:#x} shards={shards} workers={workers} \
-                                 epoch={epoch} pool={pool} fast_forward={fast_forward}"
-                            );
-                        }
-                    }
+                    let got = sharded_logs(seed, shards, workers, epoch);
+                    assert_eq!(
+                        got, reference,
+                        "diverged: seed={seed:#x} shards={shards} workers={workers} \
+                         epoch={epoch}"
+                    );
                 }
             }
         }
